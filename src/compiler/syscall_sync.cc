@@ -12,9 +12,12 @@
  * program's own pre-syscall computation.
  *
  * This pass implements that rule: it hoists the message upward past
- * message-free, call-free instructions inside the block, then through
+ * message-free, call-free instructions (those the IR op table does not
+ * mark ir::ordersBeforeSyscall) inside the block, then through
  * single-predecessor/single-successor dominator chain blocks for which
- * the syscall block is a post-dominator.
+ * the syscall block is a post-dominator. It must run after every pass
+ * that inserts messages; ir::verifyFunction rejects a module in which
+ * one sits between a System-Call message and its syscall.
  */
 
 #include "compiler/passes.h"
@@ -26,41 +29,6 @@ namespace hq {
 
 using ir::Instr;
 using ir::IrOp;
-
-namespace {
-
-/** Instructions a System-Call message must not be hoisted above. */
-bool
-blocksHoisting(const Instr &instr)
-{
-    switch (instr.op) {
-      case IrOp::CallDirect:
-      case IrOp::CallIndirect:
-      case IrOp::VCall:
-      case IrOp::Syscall:
-      case IrOp::Setjmp:
-      case IrOp::Longjmp:
-      case IrOp::HqDefine:
-      case IrOp::HqCheck:
-      case IrOp::HqInvalidate:
-      case IrOp::HqCheckInvalidate:
-      case IrOp::HqBlockCopy:
-      case IrOp::HqBlockMove:
-      case IrOp::HqBlockInvalidate:
-      case IrOp::HqSyscallMsg:
-        return true;
-      case IrOp::Memcpy:
-      case IrOp::Memmove:
-      case IrOp::Free:
-      case IrOp::Realloc:
-        // These may emit block messages at runtime (FinalLowering).
-        return true;
-      default:
-        return false;
-    }
-}
-
-} // namespace
 
 void
 SyscallSyncPass::run(ir::Module &module, StatSet &stats)
@@ -102,9 +70,10 @@ SyscallSyncPass::run(ir::Module &module, StatSet &stats)
 
             // Hoist within the block.
             while (place_index > 0 &&
-                   !blocksHoisting(
+                   !ir::ordersBeforeSyscall(
                        function.blocks[place_block]
-                           .instrs[place_index - 1])) {
+                           .instrs[place_index - 1]
+                           .op)) {
                 --place_index;
             }
 
@@ -132,8 +101,8 @@ SyscallSyncPass::run(ir::Module &module, StatSet &stats)
                     static_cast<int>(function.blocks[pred].instrs.size()) -
                     1;
                 while (limit > 0 &&
-                       !blocksHoisting(
-                           function.blocks[pred].instrs[limit - 1])) {
+                       !ir::ordersBeforeSyscall(
+                           function.blocks[pred].instrs[limit - 1].op)) {
                     --limit;
                 }
                 place_block = pred;

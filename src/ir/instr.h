@@ -20,76 +20,153 @@
 #include <string>
 #include <vector>
 
+#include "ipc/message.h"
 #include "ir/type.h"
 
 namespace hq::ir {
 
+/**
+ * Which AppendWrite message executing an IrOp sends, and where each
+ * argument comes from (R[x] is the value of operand register x).
+ */
+enum class MsgShape : std::uint8_t {
+    None,         //!< sends no message
+    A,            //!< wire(R[a])
+    AB,           //!< wire(R[a], R[b])
+    AImm,         //!< wire(R[a], imm)
+    Imm,          //!< wire(imm)
+    SizedAB,      //!< BlockSize(R[c]), then wire(R[a], R[b])
+    RuntimeBlock, //!< may send block messages at runtime: the op's own
+                  //!< VM case sends them when kFlagEmitBlockMsg is set
+};
+
+/**
+ * Every per-opcode fact, one row per IrOp in enum order:
+ *
+ *     X(op, mnemonic, message shape, call-like (0/1), wire Opcode)
+ *
+ * Call-like ops may leave the function (calls, setjmp/longjmp, the
+ * system call itself). A new opcode declares here whether it emits a
+ * message; the VM's message send, the core model's AppendWrite count
+ * and System-Call message placement all read it from this table.
+ *
+ * Keep the order: message sites are counted by the contiguous ranges
+ * HqDefine..HqSyscallMsg and DfiWriteMsg..LabelJoinMsg, instrumentation
+ * ops by HqDefine..LabelJoinMsg.
+ */
+#define HQ_IR_OPS(X)                                                           \
+    X(Nop, "nop", None, 0, Invalid)                                            \
+    /* --- Values */                                                           \
+    X(ConstInt, "const", None, 0, Invalid) /* dest = imm */                    \
+    X(FuncAddr, "funcaddr", None, 0, Invalid) /* dest = &function #imm */      \
+    X(GlobalAddr, "globaladdr", None, 0, Invalid) /* dest = &global #imm */    \
+    X(Alloca, "alloca", None, 0, Invalid) /* dest = new imm-byte slot */       \
+    X(Arith, "arith", None, 0, Invalid) /* dest = op(a, b); aux: ArithKind */  \
+    X(Cast, "cast", None, 0, Invalid) /* dest = a as `type` (casts/decay) */   \
+    /* --- Memory (`type`: value or element type) */                           \
+    X(Load, "load", None, 0, Invalid) /* dest = mem[a] */                      \
+    X(Store, "store", None, 0, Invalid) /* mem[a] = b */                       \
+    X(Memcpy, "memcpy", RuntimeBlock, 0, Invalid) /* dst=a, src=b, size=c */   \
+    X(Memmove, "memmove", RuntimeBlock, 0, Invalid) /* dst=a, src=b, size=c */ \
+    X(Malloc, "malloc", None, 0, Invalid) /* dest = a bytes (imm if a < 0) */  \
+    X(Free, "free", RuntimeBlock, 0, Invalid) /* free(a) */                    \
+    X(Realloc, "realloc", RuntimeBlock, 0, Invalid) /* dest = realloc(a, b) */ \
+    /* --- Control flow */                                                     \
+    X(CallDirect, "call", None, 1, Invalid) /* dest = function #imm(args) */   \
+    X(CallIndirect, "icall", None, 1, Invalid) /* dest = funcptr a(args) */    \
+    X(VCall, "vcall", None, 1, Invalid) /* object a, slot imm; aux: class */   \
+    X(Syscall, "syscall", None, 1, Invalid) /* system call #imm */             \
+    X(Setjmp, "setjmp", None, 1, Invalid) /* dest = 0; token to mem[a] */      \
+    X(Longjmp, "longjmp", None, 1, Invalid) /* to mem[a]; setjmp returns b */  \
+    X(RetAddrAddr, "retaddraddr", None, 0, Invalid) /* dest = &retptr slot */  \
+    X(Ret, "ret", None, 0, Invalid) /* return a (if a >= 0) */                 \
+    X(Br, "br", None, 0, Invalid) /* goto target0 */                           \
+    X(CondBr, "condbr", None, 0, Invalid) /* a ? target0 : target1 */          \
+    /* --- HerQules instrumentation (messages over AppendWrite) */             \
+    X(HqDefine, "hq.define", AB, 0, PointerDefine)                             \
+    X(HqCheck, "hq.check", AB, 0, PointerCheck)                                \
+    X(HqInvalidate, "hq.invalidate", A, 0, PointerInvalidate)                  \
+    X(HqCheckInvalidate, "hq.checkinvalidate", AB, 0, PointerCheckInvalidate)  \
+    X(HqBlockCopy, "hq.blockcopy", SizedAB, 0, PointerBlockCopy)               \
+    X(HqBlockMove, "hq.blockmove", SizedAB, 0, PointerBlockMove)               \
+    X(HqBlockInvalidate, "hq.blockinvalidate", AB, 0, PointerBlockInvalidate)  \
+    X(HqSyscallMsg, "hq.syscall", Imm, 0, Syscall) /* sysno imm */             \
+    X(HqGuardEnter, "hq.guard.enter", None, 0, Invalid) /* forwarding guard */ \
+    X(HqGuardExit, "hq.guard.exit", None, 0, Invalid)                          \
+    /* --- Data-flow integrity (§4.3): addr a, writer id / writer mask imm */  \
+    X(DfiWriteMsg, "dfi.write", AImm, 0, DfiWrite)                             \
+    X(DfiReadMsg, "dfi.read", AImm, 0, DfiRead)                                \
+    /* --- Information-flow control: addr a, label / forbidden mask imm */     \
+    X(LabelDefMsg, "ifc.labeldef", AImm, 0, LabelDef)                          \
+    X(LabelCheckMsg, "ifc.labelcheck", AImm, 0, LabelCheck)                    \
+    X(LabelJoinMsg, "ifc.labeljoin", AB, 0, LabelJoin) /* src a, dst b */      \
+    /* --- Baseline CFI designs (inline, in-process checks) */                 \
+    X(CfiTypeCheck, "cfi.typecheck", None, 0, Invalid) /* a in class imm */    \
+    X(MacDefine, "ccfi.macdefine", None, 0, Invalid) /* MAC(addr a, val b) */  \
+    X(MacCheck, "ccfi.maccheck", None, 0, Invalid) /* MAC(addr a, val b) */    \
+    X(SafeStore, "cpi.safestore", None, 0, Invalid) /* mem'[a] = b */          \
+    X(SafeLoad, "cpi.safeload", None, 0, Invalid) /* dest = mem'[a] */
+
 enum class IrOp : std::uint8_t {
-    Nop = 0,
-
-    // --- Values ------------------------------------------------------
-    ConstInt,   //!< dest = imm
-    FuncAddr,   //!< dest = address of function #imm
-    GlobalAddr, //!< dest = address of global #imm
-    Alloca,     //!< dest = address of a new stack slot of imm bytes
-    Arith,      //!< dest = op(a, b); aux selects the ArithKind
-    Cast,       //!< dest = a reinterpreted as `type` (models C casts/decay)
-
-    // --- Memory ------------------------------------------------------
-    Load,    //!< dest = mem[a]; `type` is the loaded value's static type
-    Store,   //!< mem[a] = b; `type` is the stored value's static type
-    Memcpy,  //!< memcpy(dst=a, src=b, size=c); `type` = element type copied
-    Memmove, //!< memmove(dst=a, src=b, size=c)
-    Malloc,  //!< dest = heap alloc of a bytes (or imm if a < 0)
-    Free,    //!< free(a)
-    Realloc, //!< dest = realloc(a, b bytes)
-
-    // --- Control flow ------------------------------------------------
-    CallDirect,   //!< dest = call function #imm(args)
-    CallIndirect, //!< dest = call through function pointer in a(args)
-    VCall,        //!< dest = virtual call: object a, vtable slot imm;
-                  //!< aux >= 0 names the statically-known class (devirt)
-    Syscall,      //!< system call #imm (models inline-asm syscall)
-    Setjmp,       //!< dest = 0; saves a continuation token to mem[a]
-                  //!< (non-local goto support; marks returns_twice)
-    Longjmp,      //!< jump to the continuation in mem[a]; setjmp
-                  //!< "returns again" with value b (or 1 if b == 0)
-    RetAddrAddr,  //!< dest = address of this frame's return-pointer slot
-                  //!< (models __builtin_return_address disclosure)
-    Ret,          //!< return a (or nothing when a < 0)
-    Br,           //!< jump to block target0
-    CondBr,       //!< if a != 0 goto target0 else target1
-
-    // --- HerQules instrumentation (messages over AppendWrite) ---------
-    HqDefine,          //!< POINTER-DEFINE(mem addr a, value b)
-    HqCheck,           //!< POINTER-CHECK(a, b)
-    HqInvalidate,      //!< POINTER-INVALIDATE(a)
-    HqCheckInvalidate, //!< POINTER-CHECK-INVALIDATE(a, b)
-    HqBlockCopy,       //!< POINTER-BLOCK-COPY(src=a, dst=b, size=c)
-    HqBlockMove,       //!< POINTER-BLOCK-MOVE(src=a, dst=b, size=c)
-    HqBlockInvalidate, //!< POINTER-BLOCK-INVALIDATE(base=a, size=b)
-    HqSyscallMsg,      //!< System-Call synchronization message (§2.2)
-    HqGuardEnter,      //!< store-to-load-forwarding recursion guard set
-    HqGuardExit,       //!< ... guard clear
-
-    // --- Data-flow integrity instrumentation (§4.3) --------------------
-    DfiWriteMsg, //!< DFI-WRITE(addr a, writer id imm)
-    DfiReadMsg,  //!< DFI-READ(addr a, allowed writer bitmask imm)
-
-    // --- Information-flow-control instrumentation ----------------------
-    LabelDefMsg,   //!< LABEL-DEF(addr a, label imm)
-    LabelCheckMsg, //!< LABEL-CHECK(addr a, forbidden mask imm)
-    LabelJoinMsg,  //!< LABEL-JOIN(src addr a, dst addr b)
-
-    // --- Baseline CFI designs (inline, in-process checks) -------------
-    CfiTypeCheck, //!< Clang/LLVM CFI: funcptr a must be in class imm
-    MacDefine,    //!< CCFI: write MAC for pointer at addr a, value b
-    MacCheck,     //!< CCFI: check MAC for pointer at addr a, value b
-    SafeStore,    //!< CPI: safe-store write mem'[a] = b
-    SafeLoad,     //!< CPI: dest = safe-store read mem'[a]
-
+#define HQ_IR_ENUM(op, name, msg, call_like, wire) op,
+    HQ_IR_OPS(HQ_IR_ENUM)
+#undef HQ_IR_ENUM
     NumOps,
 };
+
+/** One row of HQ_IR_OPS. */
+struct IrOpInfo
+{
+    const char *name;
+    MsgShape msg;
+    bool call_like;
+    Opcode wire;
+};
+
+/** HQ_IR_OPS as data, indexed by IrOp; the last row stands for NumOps. */
+inline constexpr IrOpInfo kIrOpInfo[] = {
+#define HQ_IR_INFO(op, name, msg, call_like, wire)                         \
+    {name, MsgShape::msg, call_like, Opcode::wire},
+    HQ_IR_OPS(HQ_IR_INFO)
+#undef HQ_IR_INFO
+    {"?", MsgShape::None, false, Opcode::Invalid},
+};
+
+/** The table row of `op`; out-of-range values get the NumOps row. */
+constexpr const IrOpInfo &
+irOpInfo(IrOp op)
+{
+    return kIrOpInfo[op < IrOp::NumOps ? static_cast<int>(op)
+                                       : static_cast<int>(IrOp::NumOps)];
+}
+
+/** Opcode mnemonic ("?" for out-of-range values). */
+constexpr const char *
+irOpName(IrOp op)
+{
+    return irOpInfo(op).name;
+}
+
+/** Executing `op` always sends its message (when messaging is on). */
+constexpr bool
+emitsMessage(IrOp op)
+{
+    const MsgShape msg = irOpInfo(op).msg;
+    return msg != MsgShape::None && msg != MsgShape::RuntimeBlock;
+}
+
+/**
+ * `op` must stay ordered before a System-Call message and its syscall:
+ * it sends (or may send) a message, or may leave the function. A
+ * System-Call message is never hoisted above such an op, and none may
+ * sit between the message and its syscall (§2.2).
+ */
+constexpr bool
+ordersBeforeSyscall(IrOp op)
+{
+    const IrOpInfo &info = irOpInfo(op);
+    return info.msg != MsgShape::None || info.call_like;
+}
 
 /**
  * Sentinel signature class used by Clang/LLVM CFI virtual-call checks:
@@ -147,9 +224,6 @@ struct Instr
     /** Render a compact textual form for debugging and tests. */
     std::string toString() const;
 };
-
-/** Opcode mnemonic. */
-const char *irOpName(IrOp op);
 
 } // namespace hq::ir
 

@@ -4,59 +4,6 @@
 
 namespace hq::ir {
 
-const char *
-irOpName(IrOp op)
-{
-    switch (op) {
-      case IrOp::Nop: return "nop";
-      case IrOp::ConstInt: return "const";
-      case IrOp::FuncAddr: return "funcaddr";
-      case IrOp::GlobalAddr: return "globaladdr";
-      case IrOp::Alloca: return "alloca";
-      case IrOp::Arith: return "arith";
-      case IrOp::Cast: return "cast";
-      case IrOp::Load: return "load";
-      case IrOp::Store: return "store";
-      case IrOp::Memcpy: return "memcpy";
-      case IrOp::Memmove: return "memmove";
-      case IrOp::Malloc: return "malloc";
-      case IrOp::Free: return "free";
-      case IrOp::Realloc: return "realloc";
-      case IrOp::CallDirect: return "call";
-      case IrOp::CallIndirect: return "icall";
-      case IrOp::VCall: return "vcall";
-      case IrOp::Syscall: return "syscall";
-      case IrOp::Setjmp: return "setjmp";
-      case IrOp::Longjmp: return "longjmp";
-      case IrOp::RetAddrAddr: return "retaddraddr";
-      case IrOp::Ret: return "ret";
-      case IrOp::Br: return "br";
-      case IrOp::CondBr: return "condbr";
-      case IrOp::HqDefine: return "hq.define";
-      case IrOp::HqCheck: return "hq.check";
-      case IrOp::HqInvalidate: return "hq.invalidate";
-      case IrOp::HqCheckInvalidate: return "hq.checkinvalidate";
-      case IrOp::HqBlockCopy: return "hq.blockcopy";
-      case IrOp::HqBlockMove: return "hq.blockmove";
-      case IrOp::HqBlockInvalidate: return "hq.blockinvalidate";
-      case IrOp::HqSyscallMsg: return "hq.syscall";
-      case IrOp::HqGuardEnter: return "hq.guard.enter";
-      case IrOp::HqGuardExit: return "hq.guard.exit";
-      case IrOp::DfiWriteMsg: return "dfi.write";
-      case IrOp::DfiReadMsg: return "dfi.read";
-      case IrOp::LabelDefMsg: return "ifc.labeldef";
-      case IrOp::LabelCheckMsg: return "ifc.labelcheck";
-      case IrOp::LabelJoinMsg: return "ifc.labeljoin";
-      case IrOp::CfiTypeCheck: return "cfi.typecheck";
-      case IrOp::MacDefine: return "ccfi.macdefine";
-      case IrOp::MacCheck: return "ccfi.maccheck";
-      case IrOp::SafeStore: return "cpi.safestore";
-      case IrOp::SafeLoad: return "cpi.safeload";
-      case IrOp::NumOps: break;
-    }
-    return "?";
-}
-
 std::string
 Instr::toString() const
 {

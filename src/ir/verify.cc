@@ -14,6 +14,38 @@ fail(const Function &function, int block, const std::string &what)
                              ": " + what);
 }
 
+/**
+ * Walking forward from the System-Call message at instrs[index] of
+ * `block`, through the block and any chain of unconditional branches,
+ * the first op that must stay ordered before a syscall has to be the
+ * syscall itself. Otherwise its ack would not prove that every message
+ * sent before the syscall was checked (§2.2).
+ */
+Status
+verifySyscallMessage(const Function &function, int block,
+                     std::size_t index)
+{
+    std::set<int> visited{block};
+    int at = block;
+    for (std::size_t i = index + 1;; i = 0) {
+        const auto &instrs = function.blocks[at].instrs;
+        for (; i < instrs.size(); ++i) {
+            if (instrs[i].op == IrOp::Syscall)
+                return Status::ok();
+            if (ordersBeforeSyscall(instrs[i].op))
+                return fail(function, block,
+                            "System-Call message separated from its "
+                            "syscall by " +
+                                instrs[i].toString());
+        }
+        const Instr &term = instrs.back();
+        if (term.op != IrOp::Br || !visited.insert(term.target0).second)
+            return fail(function, block,
+                        "System-Call message not followed by a syscall");
+        at = term.target0;
+    }
+}
+
 } // namespace
 
 Status
@@ -90,6 +122,18 @@ verifyFunction(const Module &module, const Function &function)
             if (instr.op == IrOp::VCall && instr.aux >= 0 &&
                 instr.aux >= static_cast<int>(module.classes.size()))
                 return fail(function, block, "class id out of range");
+        }
+    }
+
+    // Runs once the structure is known good: the walk follows branches.
+    for (int block = 0; block < num_blocks; ++block) {
+        const auto &instrs = function.blocks[block].instrs;
+        for (std::size_t i = 0; i < instrs.size(); ++i) {
+            if (instrs[i].op != IrOp::HqSyscallMsg)
+                continue;
+            Status status = verifySyscallMessage(function, block, i);
+            if (!status.isOk())
+                return status;
         }
     }
     return Status::ok();

@@ -2,8 +2,10 @@
  * @file
  * IR well-formedness verification: every block terminated, registers
  * single-assigned and defined before use (within dominance), branch
- * targets and ids in range. Run by tests and by the pass manager
- * between passes to catch instrumentation bugs early.
+ * targets and ids in range, and no op that must stay ordered before a
+ * syscall between a System-Call message and its syscall. Run by tests
+ * and by the pass manager between passes to catch instrumentation bugs
+ * early.
  */
 
 #ifndef HQ_IR_VERIFY_H

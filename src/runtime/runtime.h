@@ -145,26 +145,6 @@ class HqRuntime
         send(Message(Opcode::AllocDestroyAll, a, size));
     }
 
-    // Information-flow-control label messages (src/policy/ifc.h).
-
-    void
-    sendLabelDef(Addr a, std::uint64_t label)
-    {
-        send(Message(Opcode::LabelDef, a, label));
-    }
-
-    void
-    sendLabelCheck(Addr a, std::uint64_t forbidden)
-    {
-        send(Message(Opcode::LabelCheck, a, forbidden));
-    }
-
-    void
-    sendLabelJoin(Addr src, Addr dst)
-    {
-        send(Message(Opcode::LabelJoin, src, dst));
-    }
-
     Pid pid() const { return _pid; }
     std::uint64_t messagesSent() const { return _messages_sent; }
 

@@ -704,69 +704,7 @@ Vm::run(const std::vector<std::uint64_t> &args)
             _cur_index = 0;
             continue;
 
-          // --- HerQules instrumentation --------------------------------
-          case IrOp::HqDefine:
-            if (_config.hq_messages && _runtime)
-                _runtime->sendDefine(R(instr.a), R(instr.b));
-            break;
-          case IrOp::HqCheck:
-            if (_config.hq_messages && _runtime)
-                _runtime->sendCheck(R(instr.a), R(instr.b));
-            break;
-          case IrOp::HqInvalidate:
-            if (_config.hq_messages && _runtime)
-                _runtime->sendInvalidate(R(instr.a));
-            break;
-          case IrOp::HqCheckInvalidate:
-            if (_config.hq_messages && _runtime)
-                _runtime->sendCheckInvalidate(R(instr.a), R(instr.b));
-            break;
-          case IrOp::HqBlockCopy:
-            if (_config.hq_messages && _runtime)
-                _runtime->sendBlockCopy(R(instr.a), R(instr.b),
-                                        R(instr.c));
-            break;
-          case IrOp::HqBlockMove:
-            if (_config.hq_messages && _runtime)
-                _runtime->sendBlockMove(R(instr.a), R(instr.b),
-                                        R(instr.c));
-            break;
-          case IrOp::HqBlockInvalidate:
-            if (_config.hq_messages && _runtime)
-                _runtime->sendBlockInvalidate(R(instr.a), R(instr.b));
-            break;
-          case IrOp::HqSyscallMsg:
-            // Suppressed under the naive-sync ablation: that design has
-            // no pipelined advance message.
-            if (_config.hq_messages && _runtime && !_config.naive_sync)
-                _runtime->sendSyscallMsg(instr.imm);
-            break;
-          case IrOp::DfiWriteMsg:
-            if (_config.hq_messages && _runtime)
-                _runtime->send(Message(Opcode::DfiWrite, R(instr.a),
-                                       instr.imm));
-            break;
-          case IrOp::DfiReadMsg:
-            if (_config.hq_messages && _runtime)
-                _runtime->send(Message(Opcode::DfiRead, R(instr.a),
-                                       instr.imm));
-            break;
-          case IrOp::LabelDefMsg:
-            if (_config.hq_messages && _runtime)
-                _runtime->send(Message(Opcode::LabelDef, R(instr.a),
-                                       instr.imm));
-            break;
-          case IrOp::LabelCheckMsg:
-            if (_config.hq_messages && _runtime)
-                _runtime->send(Message(Opcode::LabelCheck, R(instr.a),
-                                       instr.imm));
-            break;
-          case IrOp::LabelJoinMsg:
-            if (_config.hq_messages && _runtime)
-                _runtime->send(Message(Opcode::LabelJoin, R(instr.a),
-                                       R(instr.b)));
-            break;
-
+          // --- HerQules instrumentation (message ops: see default) -----
           case IrOp::HqGuardEnter: {
             // Store-to-load forwarding recursion guard (§4.1.4): if the
             // guard is still set upon a subsequent call, terminate.
@@ -844,10 +782,41 @@ Vm::run(const std::vector<std::uint64_t> &args)
             break;
           }
 
-          default:
-            return finish(ExitKind::Crash,
-                          std::string("unimplemented opcode ") +
-                              ir::irOpName(instr.op));
+          default: {
+            if (!ir::emitsMessage(instr.op))
+                return finish(ExitKind::Crash,
+                              std::string("unimplemented opcode ") +
+                                  ir::irOpName(instr.op));
+            // Message ops: the IR op table gives each one's message.
+            // HqSyscallMsg is suppressed under the naive-sync ablation:
+            // that design has no pipelined advance message.
+            if (!_config.hq_messages || !_runtime ||
+                (instr.op == IrOp::HqSyscallMsg && _config.naive_sync))
+                break;
+            const ir::IrOpInfo &info = ir::irOpInfo(instr.op);
+            switch (info.msg) {
+              case ir::MsgShape::A:
+                _runtime->send(Message(info.wire, R(instr.a)));
+                break;
+              case ir::MsgShape::AB:
+                _runtime->send(Message(info.wire, R(instr.a), R(instr.b)));
+                break;
+              case ir::MsgShape::AImm:
+                _runtime->send(Message(info.wire, R(instr.a), instr.imm));
+                break;
+              case ir::MsgShape::Imm:
+                _runtime->send(Message(info.wire, instr.imm));
+                break;
+              case ir::MsgShape::SizedAB:
+                _runtime->send(Message(Opcode::BlockSize, R(instr.c)));
+                _runtime->send(Message(info.wire, R(instr.a), R(instr.b)));
+                break;
+              case ir::MsgShape::None:
+              case ir::MsgShape::RuntimeBlock:
+                break;
+            }
+            break;
+          }
         }
 
         ++_cur_index;

@@ -21,7 +21,7 @@ CoreModel::onInstr(const ir::Instr &instr)
     int uops = 1;
     bool is_load = false;
     bool is_cond_branch = false;
-    bool is_appendwrite = false;
+    const bool is_appendwrite = ir::emitsMessage(instr.op);
 
     switch (instr.op) {
       case IrOp::Nop:
@@ -80,22 +80,6 @@ CoreModel::onInstr(const ir::Instr &instr)
         uops = 2;
         break;
 
-      // --- AppendWrite messages -------------------------------------
-      case IrOp::HqDefine:
-      case IrOp::HqCheck:
-      case IrOp::HqInvalidate:
-      case IrOp::HqCheckInvalidate:
-      case IrOp::HqSyscallMsg:
-      case IrOp::HqBlockCopy:
-      case IrOp::HqBlockMove:
-      case IrOp::HqBlockInvalidate:
-      case IrOp::DfiWriteMsg:
-      case IrOp::DfiReadMsg:
-      case IrOp::LabelDefMsg:
-      case IrOp::LabelCheckMsg:
-      case IrOp::LabelJoinMsg:
-        is_appendwrite = true;
-        break;
       case IrOp::HqGuardEnter:
       case IrOp::HqGuardExit:
         uops = 2; // flag load + store

@@ -366,17 +366,19 @@ runLeakAttack(LeakScenario scenario, PolicySuite suite,
     LeakBuilder builder(scenario);
     ir::Module module = builder.build();
 
-    // The instrumentation is identical for both policy suites: full HQ
-    // CFI pipeline plus IFC lowering. Only verifier enforcement varies.
-    Status status = instrumentModule(module, CfiDesign::HqSfeStk);
+    // The instrumentation is identical for both policy suites: IFC
+    // lowering plus the full HQ CFI pipeline. Only verifier enforcement
+    // varies. IFC lowering runs first so that System-Call message
+    // placement, the CFI pipeline's last pass, sees the label ops.
+    PassManager ifc_pm;
+    ifc_pm.add(std::make_unique<IfcLoweringPass>());
+    Status status = ifc_pm.run(module);
+    if (!status.isOk())
+        panic("leakbench IFC lowering failed: " + status.toString());
+    status = instrumentModule(module, CfiDesign::HqSfeStk);
     if (!status.isOk())
         panic("leakbench CFI instrumentation failed: " +
               status.toString());
-    PassManager ifc_pm;
-    ifc_pm.add(std::make_unique<IfcLoweringPass>());
-    status = ifc_pm.run(module);
-    if (!status.isOk())
-        panic("leakbench IFC lowering failed: " + status.toString());
 
     KernelModule::Config kconfig;
     kconfig.epoch = std::chrono::milliseconds(200);

@@ -72,7 +72,7 @@ struct LeakResult
 
 /**
  * Execute one scenario under one policy suite. The victim is always
- * instrumented identically (HQ CFI pipeline + IfcLoweringPass): the
+ * instrumented identically (IfcLoweringPass + HQ CFI pipeline): the
  * policy suite decides only what the verifier enforces, so the
  * CFI-alone=accept / CFI+IFC=deny contrast isolates the policy, not
  * the instrumentation.

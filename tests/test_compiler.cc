@@ -638,6 +638,38 @@ TEST(SyscallSync, DoesNotHoistPastCalls)
     EXPECT_EQ(instrs[2].op, IrOp::Syscall);
 }
 
+TEST(SyscallSync, DoesNotHoistPastDfiOrIfcMessages)
+{
+    // A syscall's ack must prove that every message sent before it was
+    // checked, so its message stays after each data-flow/label message.
+    for (IrOp op : {IrOp::DfiWriteMsg, IrOp::DfiReadMsg, IrOp::LabelDefMsg,
+                    IrOp::LabelCheckMsg, IrOp::LabelJoinMsg}) {
+        SCOPED_TRACE(irOpName(op));
+        Module module;
+        IrBuilder builder(module);
+        builder.beginFunction("main");
+        Instr msg;
+        msg.op = op;
+        msg.a = builder.constInt(0x1000);
+        msg.b = msg.a;
+        msg.imm = 1;
+        builder.emit(msg);
+        builder.syscall(1);
+        builder.ret();
+        builder.endFunction();
+        module.entry_function = 0;
+
+        runPass(module, std::make_unique<SyscallSyncPass>());
+        std::vector<IrOp> ops;
+        for (const auto &instr : module.functions[0].blocks[0].instrs)
+            ops.push_back(instr.op);
+        const std::vector<IrOp> expected{IrOp::ConstInt, op,
+                                         IrOp::HqSyscallMsg, IrOp::Syscall,
+                                         IrOp::Ret};
+        EXPECT_EQ(ops, expected);
+    }
+}
+
 TEST(SyscallSync, HoistsThroughLinearChainBlocks)
 {
     Module module;

@@ -316,6 +316,78 @@ TEST(Bidirectional, PingPongOverTwoAmrs)
 // Naive-sync ablation mode
 // ---------------------------------------------------------------------
 
+// A shared-memory channel whose receive side withholds each System-Call
+// message until release() is called, so a verifier polling it cannot
+// ack a syscall before the test lets it. Messages are received only
+// through the zero-copy view; the copying calls report an empty ring so
+// a message sent between a peek and a copy cannot slip past the hold.
+// Consumer-side calls only: the view and the counters belong to the
+// polling thread.
+class HoldingShmChannel : public ShmChannel
+{
+  public:
+    using ShmChannel::ShmChannel;
+
+    void release() { ++_released; }
+    std::uint64_t released() const { return _released; }
+
+    /** Most unconsumed messages ever queued ahead of a System-Call one. */
+    std::size_t maxQueuedAheadOfSyscall() const { return _max_ahead; }
+
+    bool
+    tryRecv(Message &out) override
+    {
+        (void)out;
+        return false;
+    }
+
+    std::size_t
+    tryRecvBatch(Message *out, std::size_t max_count) override
+    {
+        (void)out;
+        (void)max_count;
+        return 0;
+    }
+
+    bool
+    tryPeekSpan(RecvSpan &out) override
+    {
+        if (!ShmChannel::tryPeekSpan(out))
+            return false;
+        std::size_t visible = out.total();
+        std::uint64_t syscalls = _consumed_syscalls;
+        for (std::size_t i = 0; i < out.total(); ++i) {
+            if (out.slot(i).op != Opcode::Syscall)
+                continue;
+            _max_ahead = std::max(_max_ahead, i);
+            if (syscalls++ == _released) {
+                visible = i; // hold this one and everything after it
+                break;
+            }
+        }
+        const std::size_t first = std::min(visible, out.seg[0].count);
+        out.seg[1].count = visible - first;
+        out.seg[0].count = first;
+        _view = out;
+        return true;
+    }
+
+    void
+    consumeSlots(std::size_t count) override
+    {
+        for (std::size_t i = 0; i < count; ++i)
+            if (_view.slot(i).op == Opcode::Syscall)
+                ++_consumed_syscalls;
+        ShmChannel::consumeSlots(count);
+    }
+
+  private:
+    RecvSpan _view;
+    std::uint64_t _released = 0;
+    std::uint64_t _consumed_syscalls = 0;
+    std::size_t _max_ahead = 0;
+};
+
 TEST(NaiveSync, StillCorrectJustSlower)
 {
     Module module;
@@ -331,29 +403,44 @@ TEST(NaiveSync, StillCorrectJustSlower)
     KernelModule kernel;
     auto policy = std::make_shared<PointerIntegrityPolicy>();
     Verifier verifier(kernel, policy);
-    ShmChannel channel(1 << 10);
+    HoldingShmChannel channel(1 << 10);
     verifier.attachChannel(&channel, 1);
     HqRuntime runtime(1, channel, kernel);
     ASSERT_TRUE(runtime.enable().isOk());
-    verifier.start();
 
     VmConfig config = makeVmConfig(CfiDesign::HqSfeStk);
     config.naive_sync = true;
-    Vm vm(module, config, &runtime);
-    const RunResult result = vm.run();
-    verifier.stop();
+    RunResult result;
+    std::atomic<bool> done{false};
+    std::thread program([&] {
+        Vm vm(module, config, &runtime);
+        result = vm.run();
+        done.store(true, std::memory_order_release);
+    });
+
+    // The verifier is stepped here rather than by its own thread: a
+    // free-running verifier can ack a System-Call message between its
+    // send and the gate check, so whether the gate blocks would depend
+    // on scheduling. Each System-Call message is released only once its
+    // syscall has blocked at the gate; every other message is drained
+    // as soon as it arrives.
+    while (!done.load(std::memory_order_acquire)) {
+        if (kernel.statsFor(1).waits > channel.released())
+            channel.release();
+        verifier.poll();
+        std::this_thread::yield();
+    }
+    program.join();
+    verifier.poll();
+
     EXPECT_EQ(result.exit, ExitKind::Ok) << result.detail;
     EXPECT_EQ(kernel.statsFor(1).syscalls, 2u);
-#ifdef HQ_SANITIZE_BUILD
-    // Sanitizer scheduling skew lets the verifier ack before the
-    // syscall thread reaches the sync_ok check, so a round trip can
-    // complete without ever recording a wait. Correctness (both
-    // syscalls resumed, none denied) is asserted above either way.
-    EXPECT_LE(kernel.statsFor(1).waits, 2u);
-#else
     // Every syscall paid the blocking round trip.
     EXPECT_EQ(kernel.statsFor(1).waits, 2u);
-#endif
+    EXPECT_EQ(channel.released(), 2u);
+    // No pipelined advance message: each System-Call message is sent
+    // only after the verifier consumed every earlier message.
+    EXPECT_EQ(channel.maxQueuedAheadOfSyscall(), 0u);
 }
 
 } // namespace

@@ -96,7 +96,17 @@ TEST(GatingAck, BlockedEnterReleasedByBatchedAck)
     std::thread enter2([&] {
         second = kernel.syscallEnter(2, 1, /*spin_fast_path=*/false);
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // Ack only once both threads are blocked: a fixed sleep let a slow
+    // thread reach its gate after the ack, already credited, and pass
+    // without waiting. A wait is counted under the gate lock that the
+    // ack takes too, so a counted waiter cannot miss the ack. The
+    // deadline only bounds a broken gate that never blocks.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while ((kernel.statsFor(1).waits == 0 ||
+            kernel.statsFor(2).waits == 0) &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
     const KernelModule::SyscallAck acks[] = {{1, 1}, {2, 1}};
     kernel.syscallResumeBatch(acks, 2);
     enter1.join();

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "compiler/analysis.h"
 #include "ir/builder.h"
 #include "ir/printer.h"
@@ -126,6 +129,89 @@ TEST(Verify, CatchesBadEntryFunction)
     Module module = trivialModule();
     module.entry_function = 5;
     EXPECT_FALSE(verifyModule(module).isOk());
+}
+
+/**
+ * main: r0 = const; a System-Call message; `between` (operand r0,
+ * unless Nop); optionally a branch into a new block; then the syscall.
+ */
+Module
+syscallMessageModule(IrOp between, bool via_branch)
+{
+    Module module;
+    IrBuilder builder(module);
+    builder.beginFunction("main");
+    const int addr = builder.constInt(0x1000);
+    Instr msg;
+    msg.op = IrOp::HqSyscallMsg;
+    msg.imm = 1;
+    builder.emit(msg);
+    Instr instr;
+    instr.op = between;
+    instr.a = addr;
+    instr.imm = 1;
+    builder.emit(instr);
+    if (via_branch) {
+        const int next = builder.newBlock();
+        builder.br(next);
+        builder.setBlock(next);
+    }
+    builder.syscall(1);
+    builder.ret();
+    builder.endFunction();
+    module.entry_function = 0;
+    return module;
+}
+
+TEST(Verify, SyscallMessageMustDirectlyPrecedeItsSyscall)
+{
+    EXPECT_TRUE(verifyModule(syscallMessageModule(IrOp::Nop, false)).isOk());
+    EXPECT_TRUE(verifyModule(syscallMessageModule(IrOp::Nop, true)).isOk());
+
+    // A label check between the message and its syscall: the syscall
+    // could be acked before the check is processed.
+    for (bool via_branch : {false, true}) {
+        const Status status = verifyModule(
+            syscallMessageModule(IrOp::LabelCheckMsg, via_branch));
+        EXPECT_FALSE(status.isOk());
+        EXPECT_NE(status.message().find("ifc.labelcheck"),
+                  std::string::npos)
+            << status.toString();
+    }
+
+    // A message with no syscall after it.
+    Module module = trivialModule();
+    Instr msg;
+    msg.op = IrOp::HqSyscallMsg;
+    auto &instrs = module.functions[0].blocks[0].instrs;
+    instrs.insert(instrs.end() - 1, msg);
+    EXPECT_FALSE(verifyModule(module).isOk());
+}
+
+TEST(IrOpTable, MessageOpsAreTheRangesToolsCount)
+{
+    // Message sites are counted by these two enum ranges.
+    for (int i = 0; i < static_cast<int>(IrOp::NumOps); ++i) {
+        const IrOp op = static_cast<IrOp>(i);
+        const bool in_ranges =
+            (op >= IrOp::HqDefine && op <= IrOp::HqSyscallMsg) ||
+            (op >= IrOp::DfiWriteMsg && op <= IrOp::LabelJoinMsg);
+        EXPECT_EQ(emitsMessage(op), in_ranges) << irOpName(op);
+        if (emitsMessage(op)) {
+            EXPECT_TRUE(ordersBeforeSyscall(op)) << irOpName(op);
+        }
+    }
+}
+
+TEST(IrOpTable, MnemonicsAreDistinct)
+{
+    std::set<std::string> names;
+    for (int i = 0; i < static_cast<int>(IrOp::NumOps); ++i) {
+        const char *name = irOpName(static_cast<IrOp>(i));
+        EXPECT_STRNE(name, "?");
+        EXPECT_TRUE(names.insert(name).second) << name;
+    }
+    EXPECT_STREQ(irOpName(IrOp::NumOps), "?");
 }
 
 /**

@@ -180,5 +180,30 @@ TEST(LeakLowering, AnnotatedScenariosGetLabelOps)
     }
 }
 
+TEST(LeakLowering, SyscallSyncBeforeIfcLoweringIsRejected)
+{
+    // Placing System-Call messages before the label ops exist lets a
+    // sink's LABEL-CHECK land between a message and its syscall; the
+    // pass manager's verification must refuse that order every time.
+    // Only format-leak escapes: its sink store sits in a loop body that
+    // the syscall block does not post-dominate, so no message hoists
+    // above it.
+    for (LeakScenario scenario : leakScenarioSuite()) {
+        ir::Module module = buildLeakModule(scenario);
+        PassManager pm;
+        pm.add(std::make_unique<SyscallSyncPass>());
+        pm.add(std::make_unique<IfcLoweringPass>());
+        const Status status = pm.run(module);
+        if (scenario == LeakScenario::FormatLeak) {
+            EXPECT_TRUE(status.isOk()) << status.toString();
+            continue;
+        }
+        EXPECT_FALSE(status.isOk()) << leakScenarioName(scenario);
+        EXPECT_NE(status.message().find("after ifc-lowering"),
+                  std::string::npos)
+            << status.toString();
+    }
+}
+
 } // namespace
 } // namespace hq

@@ -669,8 +669,11 @@ INSTANTIATE_TEST_SUITE_P(RandomCfgs, DominatorProperty,
 // VM determinism and design-independence of output
 // ---------------------------------------------------------------------
 
+// The profile name is a std::string, not a const char *: gtest prints a
+// pointer parameter by address, which would put a load-address-dependent
+// value into the test's listed name.
 class ChecksumProperty
-    : public ::testing::TestWithParam<std::tuple<const char *, CfiDesign>>
+    : public ::testing::TestWithParam<std::tuple<std::string, CfiDesign>>
 {
 };
 
@@ -699,12 +702,14 @@ TEST_P(ChecksumProperty, InstrumentationPreservesOutput)
 INSTANTIATE_TEST_SUITE_P(
     ProfilesAndDesigns, ChecksumProperty,
     ::testing::Combine(
-        ::testing::Values("bzip2", "mcf", "astar", "leela_r", "hmmer"),
+        ::testing::Values(std::string("bzip2"), std::string("mcf"),
+                          std::string("astar"), std::string("leela_r"),
+                          std::string("hmmer")),
         ::testing::Values(CfiDesign::Baseline, CfiDesign::HqSfeStk,
                           CfiDesign::HqRetPtr, CfiDesign::ClangCfi,
                           CfiDesign::Ccfi, CfiDesign::Cpi)),
     [](const auto &info) {
-        return std::string(std::get<0>(info.param)) + "_" +
+        return std::get<0>(info.param) + "_" +
                designInfo(std::get<1>(info.param)).name.substr(0, 2) +
                std::to_string(static_cast<int>(std::get<1>(info.param)));
     });

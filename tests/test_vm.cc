@@ -662,6 +662,106 @@ TEST(VmHq, KillOnViolationStopsAtSyscall)
 }
 
 // ---------------------------------------------------------------------
+// Instrumentation message send
+// ---------------------------------------------------------------------
+
+/** Transport that only records what is sent through it. */
+struct RecordingChannel : Channel
+{
+    std::vector<Message> sent;
+    ChannelTraits channel_traits{"recording", false, false, "none"};
+
+    Status
+    sendImpl(const Message &message) override
+    {
+        sent.push_back(message);
+        return Status::ok();
+    }
+    bool tryRecv(Message &) override { return false; }
+    std::size_t pending() const override { return 0; }
+    const ChannelTraits &traits() const override { return channel_traits; }
+};
+
+/**
+ * The messages one `op` instruction sends, with operand registers
+ * a = 0xA0, b = 0xB0, c = 0xC0 and imm = 0x1F.
+ */
+std::vector<Message>
+messagesOf(IrOp op, bool naive_sync = false)
+{
+    Module module;
+    IrBuilder builder(module);
+    builder.beginFunction("main");
+    Instr instr;
+    instr.op = op;
+    instr.a = builder.constInt(0xA0);
+    instr.b = builder.constInt(0xB0);
+    instr.c = builder.constInt(0xC0);
+    instr.imm = 0x1F;
+    builder.emit(instr);
+    builder.ret();
+    builder.endFunction();
+    module.entry_function = 0;
+
+    KernelModule kernel;
+    RecordingChannel channel;
+    HqRuntime runtime(1, channel, kernel);
+    VmConfig config;
+    config.hq_messages = true;
+    config.naive_sync = naive_sync;
+    Vm vm(module, config, &runtime);
+    const RunResult result = vm.run();
+    EXPECT_EQ(result.exit, ExitKind::Ok) << result.detail;
+    return channel.sent;
+}
+
+TEST(VmMessages, EachMessageOpSendsItsReferenceMessages)
+{
+    // Reference messages per op, written out independently of the IR
+    // op table the VM sends from.
+    using Msgs = std::vector<Message>;
+    const std::vector<std::pair<IrOp, Msgs>> reference = {
+        {IrOp::HqDefine, {Message(Opcode::PointerDefine, 0xA0, 0xB0)}},
+        {IrOp::HqCheck, {Message(Opcode::PointerCheck, 0xA0, 0xB0)}},
+        {IrOp::HqInvalidate, {Message(Opcode::PointerInvalidate, 0xA0)}},
+        {IrOp::HqCheckInvalidate,
+         {Message(Opcode::PointerCheckInvalidate, 0xA0, 0xB0)}},
+        {IrOp::HqBlockCopy,
+         {Message(Opcode::BlockSize, 0xC0),
+          Message(Opcode::PointerBlockCopy, 0xA0, 0xB0)}},
+        {IrOp::HqBlockMove,
+         {Message(Opcode::BlockSize, 0xC0),
+          Message(Opcode::PointerBlockMove, 0xA0, 0xB0)}},
+        {IrOp::HqBlockInvalidate,
+         {Message(Opcode::PointerBlockInvalidate, 0xA0, 0xB0)}},
+        {IrOp::HqSyscallMsg, {Message(Opcode::Syscall, 0x1F)}},
+        {IrOp::DfiWriteMsg, {Message(Opcode::DfiWrite, 0xA0, 0x1F)}},
+        {IrOp::DfiReadMsg, {Message(Opcode::DfiRead, 0xA0, 0x1F)}},
+        {IrOp::LabelDefMsg, {Message(Opcode::LabelDef, 0xA0, 0x1F)}},
+        {IrOp::LabelCheckMsg, {Message(Opcode::LabelCheck, 0xA0, 0x1F)}},
+        {IrOp::LabelJoinMsg, {Message(Opcode::LabelJoin, 0xA0, 0xB0)}},
+    };
+    std::size_t message_ops = 0;
+    for (int i = 0; i < static_cast<int>(IrOp::NumOps); ++i)
+        message_ops += emitsMessage(static_cast<IrOp>(i));
+    EXPECT_EQ(reference.size(), message_ops);
+
+    for (auto [op, want] : reference) {
+        for (Message &message : want)
+            message.pid = 1;
+        const Msgs got = messagesOf(op);
+        ASSERT_EQ(got.size(), want.size()) << irOpName(op);
+        for (std::size_t i = 0; i < got.size(); ++i)
+            EXPECT_EQ(got[i], want[i])
+                << irOpName(op) << ": " << got[i].toString();
+    }
+
+    // The naive-sync ablation sends the System-Call message at the
+    // syscall itself, never in advance.
+    EXPECT_TRUE(messagesOf(IrOp::HqSyscallMsg, /*naive_sync=*/true).empty());
+}
+
+// ---------------------------------------------------------------------
 // Baseline designs: characteristic behavior
 // ---------------------------------------------------------------------
 
