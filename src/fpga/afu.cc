@@ -137,10 +137,4 @@ FpgaAfu::hostRead(Message &out)
     return _host_buffer.tryPop(out);
 }
 
-std::size_t
-FpgaAfu::hostReadBatch(Message *out, std::size_t max_count)
-{
-    return _host_buffer.tryPopBatch(out, max_count);
-}
-
 } // namespace hq

@@ -75,13 +75,6 @@ class FpgaAfu
     bool hostRead(Message &out);
 
     /**
-     * Verifier-side bulk read: dequeue up to max_count messages in
-     * writeback order (the pinned host buffer is contiguous, so the
-     * verifier drains whole cache lines per cursor update).
-     */
-    std::size_t hostReadBatch(Message *out, std::size_t max_count);
-
-    /**
      * Zero-copy host read: view the queued writeback slots in place
      * (the pinned buffer is the verifier's own mapping) and release
      * them with hostConsume() only after they verify.

@@ -25,16 +25,4 @@ FpgaChannel::sendImpl(const Message &message)
     return Status::ok();
 }
 
-bool
-FpgaChannel::tryRecv(Message &out)
-{
-    return _afu.hostRead(out);
-}
-
-std::size_t
-FpgaChannel::tryRecvBatch(Message *out, std::size_t max_count)
-{
-    return _afu.hostReadBatch(out, max_count);
-}
-
 } // namespace hq

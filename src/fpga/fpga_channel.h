@@ -23,8 +23,6 @@ class FpgaChannel : public Channel
     explicit FpgaChannel(const FpgaConfig &config = FpgaConfig());
 
     Status sendImpl(const Message &message) override;
-    bool tryRecv(Message &out) override;
-    std::size_t tryRecvBatch(Message *out, std::size_t max_count) override;
     /// The device stamps one self-checking v1 message per slot, so the
     /// channel stays v1-only — but the verifier can still validate
     /// those messages in place in the pinned host buffer.

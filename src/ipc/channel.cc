@@ -1,13 +1,16 @@
 /**
  * @file
  * Template-method send() wrapper: sequence + CRC stamping, lag stamping
- * and flow-event emission shared by every channel transport.
+ * and flow-event emission shared by every channel transport; the
+ * copying receive built once on the peek/consume pair.
  */
 
 #include "ipc/channel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "faultinject/fault.h"
@@ -38,6 +41,22 @@ nextChannelId()
 } // namespace
 
 Channel::Channel() : _channel_id(nextChannelId()) {}
+
+std::size_t
+Channel::tryRecvBatch(Message *out, std::size_t max_count)
+{
+    RecvSpan span;
+    if (max_count == 0 || !tryPeekSpan(span))
+        return 0;
+    const std::size_t n = std::min(max_count, span.total());
+    const std::size_t first = std::min(n, span.seg[0].count);
+    std::memcpy(out, span.seg[0].data, first * sizeof(Message));
+    if (n > first)
+        std::memcpy(out + first, span.seg[1].data,
+                    (n - first) * sizeof(Message));
+    consumeSlots(n);
+    return n;
+}
 
 Status
 Channel::send(const Message &message)

@@ -35,7 +35,8 @@ struct ChannelTraits
 
 /**
  * Bidirectional endpoint pair abstraction: the monitored program calls
- * send(); the verifier calls tryRecv(). Implementations are safe for one
+ * send(); the verifier borrows queued slots with tryPeekSpan() and
+ * releases them with consumeSlots(). Implementations are safe for one
  * concurrent sender thread and one concurrent receiver thread.
  *
  * send() is a template method: the public entry point stamps each
@@ -116,52 +117,47 @@ class Channel
     bool varRecordsEnabled() const { return _var_records; }
 
     /**
-     * Receive the next message if one is available.
-     * @return true and fills out when a message was dequeued.
-     */
-    virtual bool tryRecv(Message &out) = 0;
-
-    /**
-     * Receive up to max_count messages into out[0..), preserving send
-     * order, so one virtual call amortizes over a whole batch. The
-     * base-class default pops a single message; the ring-backed
-     * channels (shared memory, cross-process, FPGA host buffer, µarch
-     * AMR) override it with a true bulk dequeue.
-     * @return number of messages dequeued (0 when none available).
-     */
-    virtual std::size_t
-    tryRecvBatch(Message *out, std::size_t max_count)
-    {
-        return max_count != 0 && tryRecv(out[0]) ? 1 : 0;
-    }
-
-    /**
-     * Zero-copy drain, step 1: borrow a view of every queued slot
-     * without dequeuing (at most two contiguous runs around the ring's
-     * wrap point). The verifier validates records in place — v1 CRC
-     * checks, v2 frame decode — and only then advances the consumer
-     * cursor with consumeSlots(), so corrupt data is never copied into
-     * trusted state first. Base channels (posix transports) do not
-     * expose their kernel-side buffers: they return false and the
-     * verifier falls back to the copying tryRecvBatch() path.
+     * Receive, step 1 — with consumeSlots() the whole receive interface
+     * of a transport: lend the queued slots in place, without dequeuing
+     * (at most two contiguous runs around a wrap point). A repeated
+     * peek with no consume in between starts with the same slots. The
+     * verifier checks records where they sit — v1 CRC checks, v2 frame
+     * decode — and releases them only afterwards, so corrupt data is
+     * never copied into trusted state first. The base (a send-only
+     * transport) has nothing queued.
+     * @return false when nothing is queued.
      */
     virtual bool
     tryPeekSpan(RecvSpan &out)
     {
-        (void)out;
+        out = RecvSpan{};
         return false;
     }
 
     /**
-     * Zero-copy drain, step 2: release the first `count` slots of the
-     * last tryPeekSpan() view. Slot references into the released range
-     * are invalidated.
+     * Receive, step 2: release the oldest `count` slots of
+     * the last tryPeekSpan() view (count <= the slots still unreleased
+     * in it). References into the released range are invalidated; the
+     * rest of the view stays valid.
      */
     virtual void
     consumeSlots(std::size_t count)
     {
         (void)count;
     }
+
+    /**
+     * Copying receive of the next slot, built on the peek/consume
+     * pair: true and fills out when a slot was dequeued.
+     */
+    bool tryRecv(Message &out) { return tryRecvBatch(&out, 1) == 1; }
+
+    /**
+     * Copying receive of up to max_count slots into out[0..), in send
+     * order: one peek, one copy, one consume.
+     * @return number of slots dequeued (0 when none available).
+     */
+    std::size_t tryRecvBatch(Message *out, std::size_t max_count);
 
     /**
      * Receive-side ring capacity in slots, or 0 when the transport has
@@ -172,7 +168,10 @@ class Channel
      */
     virtual std::size_t recvCapacity() const { return 0; }
 
-    /** Approximate number of in-flight (sent but unreceived) messages. */
+    /**
+     * Approximate number of in-flight slots: sent and not yet consumed
+     * (slots lent by tryPeekSpan() count until consumeSlots()).
+     */
     virtual std::size_t pending() const = 0;
 
     /** Static channel properties. */

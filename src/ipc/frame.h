@@ -49,10 +49,9 @@ enum class WireFormat : std::uint8_t {
 const char *wireFormatName(WireFormat format);
 
 /**
- * A borrowed, in-place view of queued ring slots: at most two
- * contiguous runs (around the wrap point). Produced by the peek-span
- * API of ring-backed channels; valid until the consumer cursor is
- * advanced past the viewed slots.
+ * A borrowed, in-place view of queued slots: at most two contiguous
+ * runs (around a ring's wrap point). Produced by Channel::tryPeekSpan;
+ * each slot stays valid until the channel releases it.
  */
 struct RecvSpan
 {
@@ -72,6 +71,20 @@ struct RecvSpan
     {
         return i < seg[0].count ? seg[0].data[i]
                                 : seg[1].data[i - seg[0].count];
+    }
+
+    /** Drop the first n (<= total()) slots from the view. */
+    void
+    advance(std::size_t n)
+    {
+        if (n < seg[0].count) {
+            seg[0].data += n;
+            seg[0].count -= n;
+            return;
+        }
+        n -= seg[0].count;
+        seg[0] = {seg[1].data + n, seg[1].count - n};
+        seg[1] = {};
     }
 };
 

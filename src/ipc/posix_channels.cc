@@ -64,6 +64,39 @@ retryBudgetExhausted(const char *transport)
 } // namespace
 
 // ---------------------------------------------------------------------
+// PosixChannel
+// ---------------------------------------------------------------------
+
+bool
+PosixChannel::tryPeekSpan(RecvSpan &out)
+{
+    std::size_t buffered = _buffered.load(std::memory_order_relaxed);
+    if (buffered == 0) {
+        _head = 0;
+        while (buffered < kRecvBufferSlots && readOne(_buffer[buffered]))
+            ++buffered;
+        _buffered.store(buffered, std::memory_order_relaxed);
+    }
+    out = RecvSpan{};
+    out.seg[0] = {_buffer + _head, buffered};
+    return buffered != 0;
+}
+
+void
+PosixChannel::consumeSlots(std::size_t count)
+{
+    _head += count;
+    _buffered.store(_buffered.load(std::memory_order_relaxed) - count,
+                    std::memory_order_relaxed);
+}
+
+std::size_t
+PosixChannel::pending() const
+{
+    return _buffered.load(std::memory_order_relaxed) + kernelPending();
+}
+
+// ---------------------------------------------------------------------
 // MqChannel
 // ---------------------------------------------------------------------
 
@@ -136,7 +169,7 @@ MqChannel::sendImpl(const Message &message)
 }
 
 bool
-MqChannel::tryRecv(Message &out)
+MqChannel::readOne(Message &out)
 {
     if (_recv_queue == static_cast<mqd_t>(-1))
         return false;
@@ -147,7 +180,7 @@ MqChannel::tryRecv(Message &out)
 }
 
 std::size_t
-MqChannel::pending() const
+MqChannel::kernelPending() const
 {
     if (_recv_queue == static_cast<mqd_t>(-1))
         return 0;
@@ -211,7 +244,7 @@ PipeChannel::sendImpl(const Message &message)
 }
 
 bool
-PipeChannel::tryRecv(Message &out)
+PipeChannel::readOne(Message &out)
 {
     if (_read_fd < 0)
         return false;
@@ -222,7 +255,7 @@ PipeChannel::tryRecv(Message &out)
 }
 
 std::size_t
-PipeChannel::pending() const
+PipeChannel::kernelPending() const
 {
     if (_read_fd < 0)
         return 0;
@@ -286,7 +319,7 @@ SocketChannel::sendImpl(const Message &message)
 }
 
 bool
-SocketChannel::tryRecv(Message &out)
+SocketChannel::readOne(Message &out)
 {
     if (_recv_fd < 0)
         return false;
@@ -295,7 +328,7 @@ SocketChannel::tryRecv(Message &out)
 }
 
 std::size_t
-SocketChannel::pending() const
+SocketChannel::kernelPending() const
 {
     if (_recv_fd < 0)
         return 0;

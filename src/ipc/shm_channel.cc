@@ -43,12 +43,6 @@ ShmChannel::sendSlotsImpl(const Message *slots, std::size_t count)
 }
 
 bool
-ShmChannel::tryRecv(Message &out)
-{
-    return _ring.tryPop(out);
-}
-
-bool
 ShmChannel::tryPeekSpan(RecvSpan &out)
 {
     return _ring.peekSpan(out) != 0;
@@ -58,12 +52,6 @@ void
 ShmChannel::consumeSlots(std::size_t count)
 {
     _ring.consume(count);
-}
-
-std::size_t
-ShmChannel::tryRecvBatch(Message *out, std::size_t max_count)
-{
-    return _ring.tryPopBatch(out, max_count);
 }
 
 bool

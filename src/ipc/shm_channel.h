@@ -24,8 +24,6 @@ class ShmChannel : public Channel
 
     Status sendImpl(const Message &message) override;
     Status sendSlotsImpl(const Message *slots, std::size_t count) override;
-    bool tryRecv(Message &out) override;
-    std::size_t tryRecvBatch(Message *out, std::size_t max_count) override;
     bool tryPeekSpan(RecvSpan &out) override;
     void consumeSlots(std::size_t count) override;
     std::size_t recvCapacity() const override { return _ring.capacity(); }

@@ -192,12 +192,6 @@ XprocChannel::sendSlotsImpl(const Message *slots, std::size_t count)
 }
 
 bool
-XprocChannel::tryRecv(Message &out)
-{
-    return tryRecvBatch(&out, 1) == 1;
-}
-
-bool
 XprocChannel::tryPeekSpan(RecvSpan &out)
 {
     out.seg[0] = {};
@@ -208,8 +202,8 @@ XprocChannel::tryPeekSpan(RecvSpan &out)
     const std::uint64_t mask = capacity - 1;
     const std::uint64_t head =
         _region->head.load(std::memory_order_relaxed);
-    _cached_tail = _region->tail.load(std::memory_order_acquire);
-    const std::uint64_t available = _cached_tail - head;
+    const std::uint64_t available =
+        _region->tail.load(std::memory_order_acquire) - head;
     if (available == 0)
         return false;
 
@@ -231,38 +225,6 @@ XprocChannel::consumeSlots(std::size_t count)
     const std::uint64_t head =
         _region->head.load(std::memory_order_relaxed);
     _region->head.store(head + count, std::memory_order_release);
-}
-
-std::size_t
-XprocChannel::tryRecvBatch(Message *out, std::size_t max_count)
-{
-    if (!_region || max_count == 0)
-        return 0;
-    const std::uint64_t capacity = _region->capacity;
-    const std::uint64_t mask = capacity - 1;
-    const std::uint64_t head =
-        _region->head.load(std::memory_order_relaxed);
-    std::uint64_t available = _cached_tail - head;
-    if (available < max_count) {
-        _cached_tail = _region->tail.load(std::memory_order_acquire);
-        available = _cached_tail - head;
-        if (available == 0)
-            return 0;
-    }
-    const std::size_t n = max_count < available
-                              ? max_count
-                              : static_cast<std::size_t>(available);
-
-    const std::size_t start = static_cast<std::size_t>(head & mask);
-    const std::size_t first =
-        std::min(n, static_cast<std::size_t>(capacity) - start);
-    std::memcpy(out, _region->slots + start, first * sizeof(Message));
-    if (n > first)
-        std::memcpy(out + first, _region->slots,
-                    (n - first) * sizeof(Message));
-
-    _region->head.store(head + n, std::memory_order_release);
-    return n;
 }
 
 std::size_t

@@ -39,8 +39,8 @@ struct XprocRingRegion
 
 /**
  * Channel over a shared mapping usable across fork(). Create in the
- * parent, fork, then use send() in the child and tryRecv() in the
- * parent (or vice versa — one producer, one consumer).
+ * parent, fork, then send() in the child and receive in the parent
+ * (or vice versa — one producer, one consumer).
  */
 class XprocChannel : public Channel
 {
@@ -69,8 +69,6 @@ class XprocChannel : public Channel
 
     Status sendImpl(const Message &message) override;
     Status sendSlotsImpl(const Message *slots, std::size_t count) override;
-    bool tryRecv(Message &out) override;
-    std::size_t tryRecvBatch(Message *out, std::size_t max_count) override;
     bool tryPeekSpan(RecvSpan &out) override;
     void consumeSlots(std::size_t count) override;
     std::size_t recvCapacity() const override
@@ -94,13 +92,10 @@ class XprocChannel : public Channel
     std::size_t _map_bytes = 0;
     ChannelTraits _traits;
     std::chrono::nanoseconds _send_timeout{0}; //!< 0 = wait forever
-    /// Cursor caches live in the channel object, NOT the shared region:
-    /// after fork() each process owns a private copy, so the producer's
-    /// cached head and the consumer's cached tail never cross the
-    /// process boundary (they are refreshed from the shared cursors on
-    /// apparent-full/empty only).
-    alignas(64) std::uint64_t _cached_head = 0; //!< producer-side cache
-    alignas(64) std::uint64_t _cached_tail = 0; //!< consumer-side cache
+    /// The producer's cursor cache lives in the channel object, NOT
+    /// the shared region: after fork() each process owns a private
+    /// copy, refreshed from the shared head on apparent-full only.
+    alignas(64) std::uint64_t _cached_head = 0;
 };
 
 } // namespace hq

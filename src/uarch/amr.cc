@@ -28,12 +28,6 @@ Amr::tryRead(Message &out)
     return _ring.tryPop(out);
 }
 
-std::size_t
-Amr::tryReadBatch(Message *out, std::size_t max_count)
-{
-    return _ring.tryPopBatch(out, max_count);
-}
-
 bool
 Amr::resetRegisters()
 {

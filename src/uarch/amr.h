@@ -58,8 +58,15 @@ class Amr
     /** Reader-core receive; @return true when a message was dequeued. */
     bool tryRead(Message &out);
 
-    /** Reader-core bulk receive of up to max_count messages in order. */
-    std::size_t tryReadBatch(Message *out, std::size_t max_count);
+    /**
+     * Reader-core zero-copy receive: view the appended slots in place
+     * (the reader core maps the region) without releasing them.
+     * @return number of slots viewable.
+     */
+    std::size_t peek(RecvSpan &out) { return _ring.peekSpan(out); }
+
+    /** Release the oldest count slots of the last peek() view. */
+    void consume(std::size_t count) { _ring.consume(count); }
 
     /**
      * Kernel fault-handler action: reset the register pair to reuse the

@@ -22,16 +22,4 @@ UarchModelChannel::sendImpl(const Message &message)
     return Status::ok();
 }
 
-bool
-UarchModelChannel::tryRecv(Message &out)
-{
-    return _amr.tryRead(out);
-}
-
-std::size_t
-UarchModelChannel::tryRecvBatch(Message *out, std::size_t max_count)
-{
-    return _amr.tryReadBatch(out, max_count);
-}
-
 } // namespace hq

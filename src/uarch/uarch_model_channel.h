@@ -30,8 +30,9 @@ class UarchModelChannel : public Channel
      */
     Status sendImpl(const Message &message) override;
 
-    bool tryRecv(Message &out) override;
-    std::size_t tryRecvBatch(Message *out, std::size_t max_count) override;
+    /// The verifier validates messages where they sit in the AMR.
+    bool tryPeekSpan(RecvSpan &out) override { return _amr.peek(out) != 0; }
+    void consumeSlots(std::size_t count) override { _amr.consume(count); }
     std::size_t pending() const override { return _amr.pending(); }
     const ChannelTraits &traits() const override { return _traits; }
 

@@ -359,26 +359,27 @@ Verifier::pollShard(std::size_t shard_index)
         }
         for (ChannelEntry *entry_ptr : shard.drain_list) {
             ChannelEntry &entry = *entry_ptr;
-            const std::size_t n =
+            const Drained drained =
                 drainChannel(shard, entry, batch, batch_max);
-            if (n == 0)
+            if (drained.records == 0)
                 continue;
             progress = true;
-            processed += n;
+            processed += drained.records;
             if (_crashed.load(std::memory_order_relaxed))
                 break;
-            // Proactive push: this round drained the channel to empty
-            // (a short batch means the drain hit the producer cursor),
-            // so its owner is fully verified as of the drain point —
-            // pre-arm the kernel gate at flush so the owner's next
-            // syscall skips the poll-then-ack round trip. Checking the
-            // drain count rather than pending() matters: a saturating
-            // producer keeps pending() nonzero at inspection time even
-            // though every observed message was validated, and the
-            // credit means exactly that. Device-stamped channels carry
-            // interleaved pids and never pre-arm.
+            // Proactive push: this round checked every slot the
+            // channel showed (the drain reached the producer cursor it
+            // observed), so its owner is fully verified as of the
+            // drain point — pre-arm the kernel gate at flush so the
+            // owner's next syscall skips the poll-then-ack round trip.
+            // A drain the budget cut short left unchecked slots behind
+            // and must not pre-arm. pending() is no test: a saturating
+            // producer keeps it nonzero even though every observed
+            // message was validated, and the credit means exactly
+            // that. Device-stamped channels carry interleaved pids and
+            // never pre-arm.
             if (_config.proactive_acks && !entry.device_stamped &&
-                (n < batch_max || entry.channel->pending() == 0))
+                drained.exhausted)
                 shard.pending_prearms.push_back(entry.owner);
         }
         // Coalesced resume: one syscallResumeBatch per round covers
@@ -397,100 +398,79 @@ Verifier::pollShard(std::size_t shard_index)
     return processed;
 }
 
-std::size_t
+Verifier::Drained
 Verifier::drainChannel(Shard &shard, ChannelEntry &entry, Message *scratch,
                        std::size_t batch_max)
 {
-    if (entry.channel->format() == WireFormat::V2)
-        return drainFrames(shard, entry, scratch, batch_max);
-
+    // One loop for every transport and wire format: borrow the queued
+    // slots in place, decode the next run, check it, and only then
+    // release its slots. Only the decode step depends on the format.
+    Drained drained;
     RecvSpan span;
-    if (entry.channel->tryPeekSpan(span)) {
-        // v1 zero-copy: validate the self-checking messages where they
-        // sit in the ring (per-segment, so each batch is contiguous)
-        // and release the slots only after they have been checked.
-        std::size_t remaining = batch_max;
-        std::size_t drained = 0;
-        for (int s = 0; s < 2 && remaining != 0; ++s) {
-            const std::size_t run =
-                std::min(span.seg[s].count, remaining);
-            if (run == 0)
-                continue;
-            processBatch(shard, entry, span.seg[s].data, run, false);
-            drained += run;
-            remaining -= run;
-            if (_crashed.load(std::memory_order_relaxed))
-                break;
-        }
-        entry.channel->consumeSlots(drained);
+    if (!entry.channel->tryPeekSpan(span)) {
+        drained.exhausted = true;
         return drained;
     }
-
-    // Copying fallback: posix transports keep their buffers kernel-side.
-    const std::size_t n = entry.channel->tryRecvBatch(scratch, batch_max);
-    if (n != 0)
-        processBatch(shard, entry, scratch, n, false);
-    return n;
-}
-
-std::size_t
-Verifier::drainFrames(Shard &shard, ChannelEntry &entry, Message *scratch,
-                      std::size_t batch_max)
-{
+    const bool framed = entry.channel->format() == WireFormat::V2;
     const std::size_t cap = entry.channel->recvCapacity();
-    // Decode budgets: the ring bound rejects headers whose footprint can
-    // never fit (waiting for them would hang the drain); the record
+    // v2 decode budgets: the ring bound rejects headers whose footprint
+    // can never fit (waiting for them would hang the drain); the record
     // bound is the hard scratch-buffer ceiling, not the per-round
-    // fairness cap — fairness is enforced below at frame granularity.
+    // fairness cap — fairness is enforced below at run granularity.
     const frame::DecodeLimits limits{
         cap != 0 ? cap : frame::kMaxFrameSlots, kMaxPollBatch};
-    std::size_t records = 0;
-    while (true) {
-        RecvSpan span;
-        if (!entry.channel->tryPeekSpan(span))
-            break;
-        frame::FrameView view;
-        const frame::DecodeStatus status =
-            frame::decode(span, limits, view);
-        if (status == frame::DecodeStatus::NeedMore)
-            break; // producer mid-publish; the tail arrives shortly
-        if (status == frame::DecodeStatus::BadHeader) {
-            // The slot is not a valid frame header. Fail closed: record
-            // the corruption, drop exactly one slot, resync on the
-            // next. A garbage run yields one CorruptMsg per slot —
-            // noisy, but never a silent accept.
-            recordFrameCorruption(entry,
-                                  "frame header rejected (v2 decode)");
-            entry.channel->consumeSlots(1);
-            continue;
+    while (span.total() != 0 && drained.records < batch_max) {
+        std::size_t slots;
+        if (!framed) {
+            // v1: the next contiguous run of self-checking messages,
+            // checked where they sit.
+            slots = std::min(span.seg[0].count, batch_max - drained.records);
+            processBatch(shard, entry, span.seg[0].data, slots, false);
+            drained.records += slots;
+        } else {
+            frame::FrameView view;
+            const frame::DecodeStatus status =
+                frame::decode(span, limits, view);
+            if (status == frame::DecodeStatus::NeedMore)
+                break; // producer mid-publish; the tail arrives shortly
+            if (status == frame::DecodeStatus::BadHeader) {
+                // The slot is not a valid frame header. Fail closed:
+                // record the corruption, drop exactly one slot, resync
+                // on the next. A garbage run yields one CorruptMsg per
+                // slot — noisy, but never a silent accept.
+                recordFrameCorruption(entry,
+                                      "frame header rejected (v2 decode)");
+                slots = 1;
+            } else if (status == frame::DecodeStatus::BadBody) {
+                // Authentic header, corrupt records: skip the frame
+                // whole — never partially applied — and advance the
+                // record cursor by the header's count so lag matching
+                // stays aligned with the sender's per-record stamping.
+                recordFrameCorruption(entry,
+                                      "frame body CRC mismatch (v2 decode)");
+                slots = view.slots;
+                entry.recv_index += view.count;
+            } else {
+                // The first frame is always taken so a frame larger
+                // than the remaining budget cannot wedge the drain
+                // (kMaxRecords <= kMaxPollBatch keeps scratch in
+                // bounds).
+                if (drained.records != 0 &&
+                    drained.records + view.count > batch_max)
+                    break;
+                frame::unpackAll(span, view, scratch);
+                processBatch(shard, entry, scratch, view.count, true);
+                slots = view.slots;
+                drained.records += view.count;
+            }
         }
-        if (status == frame::DecodeStatus::BadBody) {
-            // Authentic header, corrupt records: skip the frame whole —
-            // never partially applied — and advance the record cursor
-            // by the header's count so lag matching stays aligned with
-            // the sender's per-record stamping.
-            recordFrameCorruption(entry,
-                                  "frame body CRC mismatch (v2 decode)");
-            entry.channel->consumeSlots(view.slots);
-            entry.recv_index += view.count;
-            continue;
-        }
-        // Ok. Enforce the fairness budget at whole-frame granularity;
-        // the first frame is always taken so a frame larger than the
-        // remaining budget cannot wedge the drain (kMaxRecords <=
-        // kMaxPollBatch keeps the scratch buffer in bounds).
-        if (records != 0 && records + view.count > batch_max)
-            break;
-        frame::unpackAll(span, view, scratch);
-        processBatch(shard, entry, scratch, view.count, true);
-        entry.channel->consumeSlots(view.slots);
-        records += view.count;
+        entry.channel->consumeSlots(slots);
+        span.advance(slots);
         if (_crashed.load(std::memory_order_relaxed))
             break;
-        if (records >= batch_max)
-            break;
     }
-    return records;
+    drained.exhausted = span.total() == 0;
+    return drained;
 }
 
 void

@@ -99,7 +99,7 @@ class Verifier : public ProcessEventListener
          * construction: values outside [1, kMaxPollBatch] are clamped
          * (poll()'s stack buffer is sized by kMaxPollBatch, so an
          * over-limit config must never reach the drain loop). One
-         * lock acquisition, one virtual tryRecvBatch call, and one
+         * lock acquisition, one tryPeekSpan/consumeSlots pair, and one
          * telemetry scope are amortized over each batch; the bound
          * doubles as a round-robin fairness cap, so one busy channel
          * cannot starve the others.
@@ -343,7 +343,7 @@ class Verifier : public ProcessEventListener
         std::mutex drain_mutex;
         /**
          * Guards processes and the channels list. Never held across a
-         * tryRecvBatch: the drain loop snapshots channel pointers once
+         * channel peek: the drain loop snapshots channel pointers once
          * per round and locks per pid-run while checking.
          */
         mutable std::mutex state_mutex;
@@ -389,18 +389,23 @@ class Verifier : public ProcessEventListener
     void shardLoop(std::size_t shard_index);
     /** Resolve pid's ProcessEntry via the memo, locking its home shard. */
     ProcessEntry *lookupProcess(Pid pid, PidMemo &memo);
+    /** Outcome of one drainChannel call. */
+    struct Drained
+    {
+        std::size_t records = 0; //!< messages (records) processed
+        /// Every slot of the channel's view was consumed: the drain
+        /// reached the producer cursor it observed.
+        bool exhausted = false;
+    };
     /**
-     * Drain at most one poll-batch from a channel, picking the richest
-     * path the transport supports: v2 frame decode over a borrowed span,
-     * v1 in-place span validation, or the copying tryRecvBatch fallback.
-     * @return messages (records) processed.
+     * Drain at most one poll-batch from a channel: peek its queued
+     * slots once, then decode, check and consume them run by run in
+     * place — a v1 run is a contiguous stretch of self-checking
+     * messages, a v2 run is one frame (decoded, unpacked into scratch,
+     * CRC-trusted; corrupt frames fail closed).
      */
-    std::size_t drainChannel(Shard &shard, ChannelEntry &entry,
-                             Message *scratch, std::size_t batch_max);
-    /** v2 drain: decode/validate frames in place, fail closed on
-     *  corruption, unpack good frames and process them as batches. */
-    std::size_t drainFrames(Shard &shard, ChannelEntry &entry,
-                            Message *scratch, std::size_t batch_max);
+    Drained drainChannel(Shard &shard, ChannelEntry &entry,
+                         Message *scratch, std::size_t batch_max);
     /**
      * Feed n already-validated-or-self-checking messages drained from
      * entry through lag matching, policy prefetch, and handleMessage;

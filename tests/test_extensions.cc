@@ -318,11 +318,10 @@ TEST(Bidirectional, PingPongOverTwoAmrs)
 
 // A shared-memory channel whose receive side withholds each System-Call
 // message until release() is called, so a verifier polling it cannot
-// ack a syscall before the test lets it. Messages are received only
-// through the zero-copy view; the copying calls report an empty ring so
-// a message sent between a peek and a copy cannot slip past the hold.
-// Consumer-side calls only: the view and the counters belong to the
-// polling thread.
+// ack a syscall before the test lets it. Every receive goes through
+// the peek/consume pair, so hiding slots from the view hides them from
+// the copying calls too. Consumer-side calls only: the view and the
+// counters belong to the polling thread.
 class HoldingShmChannel : public ShmChannel
 {
   public:
@@ -333,21 +332,6 @@ class HoldingShmChannel : public ShmChannel
 
     /** Most unconsumed messages ever queued ahead of a System-Call one. */
     std::size_t maxQueuedAheadOfSyscall() const { return _max_ahead; }
-
-    bool
-    tryRecv(Message &out) override
-    {
-        (void)out;
-        return false;
-    }
-
-    std::size_t
-    tryRecvBatch(Message *out, std::size_t max_count) override
-    {
-        (void)out;
-        (void)max_count;
-        return 0;
-    }
 
     bool
     tryPeekSpan(RecvSpan &out) override
@@ -378,6 +362,7 @@ class HoldingShmChannel : public ShmChannel
         for (std::size_t i = 0; i < count; ++i)
             if (_view.slot(i).op == Opcode::Syscall)
                 ++_consumed_syscalls;
+        _view.advance(count);
         ShmChannel::consumeSlots(count);
     }
 

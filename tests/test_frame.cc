@@ -531,7 +531,6 @@ TEST_F(FrameE2eTest, NegotiationRefusedByV1OnlyTransports)
     struct V1OnlyChannel : Channel
     {
         Status sendImpl(const Message &) override { return Status::ok(); }
-        bool tryRecv(Message &) override { return false; }
         std::size_t pending() const override { return 0; }
         const ChannelTraits &traits() const override { return _traits; }
         ChannelTraits _traits{"test", false, false, "none"};

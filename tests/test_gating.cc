@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -228,6 +229,78 @@ TEST(GatingPreArm, NoPreArmForViolatedProcess)
     verifier.poll();
     EXPECT_FALSE(kernel.syscallEnter(1, 1).isOk());
     EXPECT_EQ(kernel.statsFor(1).pre_arm_hits, 0u);
+}
+
+/** A shared-memory channel that counts the verifier's peeks at it. */
+class PeekCountingChannel : public ShmChannel
+{
+  public:
+    using ShmChannel::ShmChannel;
+
+    bool
+    tryPeekSpan(RecvSpan &out) override
+    {
+        ++peeks;
+        if (on_peek)
+            on_peek();
+        return ShmChannel::tryPeekSpan(out);
+    }
+
+    int peeks = 0;
+    std::function<void()> on_peek;
+};
+
+TEST(GatingPreArm, NoPreArmWhileAFrameStaysQueued)
+{
+    // Two 40-record v2 frames against the default 64-record poll
+    // budget: round 1 checks frame 1 and stops, because frame 2 would
+    // overrun the budget. Frame 2 (which carries a violation) is still
+    // queued unchecked, so round 1 must not pre-arm the gate: a
+    // syscall entered between the rounds has to wait for the verifier.
+    KernelModule::Config kconfig;
+    kconfig.epoch = std::chrono::milliseconds(1);
+    KernelModule kernel(kconfig);
+    Verifier::Config config;
+    config.num_shards = 1;
+    config.proactive_acks = true;
+    config.kill_on_violation = false;
+    Verifier verifier(kernel, std::make_shared<PointerIntegrityPolicy>(),
+                      config);
+    PeekCountingChannel channel(256);
+    ASSERT_TRUE(channel.negotiateFormat(WireFormat::V2));
+    // The verifier peeks each attached channel once per round, in
+    // attach order: once this empty marker has been peeked, round 1 is
+    // over and the next peek at `channel` starts round 2.
+    PeekCountingChannel round_marker(16);
+    verifier.attachChannel(&channel, 1);
+    verifier.attachChannel(&round_marker, 2);
+    ASSERT_TRUE(kernel.enableProcess(1).isOk());
+
+    std::vector<Message> frame1(40, Message(Opcode::PointerCheck, 0x1000,
+                                            0xAAAA));
+    frame1[0] = Message(Opcode::PointerDefine, 0x1000, 0xAAAA);
+    std::vector<Message> frame2 = frame1;
+    frame2[0] = Message(Opcode::PointerCheck, 0x1000, 0xAAAA);
+    frame2[39] = Message(Opcode::PointerCheck, 0x1000, 0xBAD);
+    ASSERT_TRUE(channel.sendBatch(frame1.data(), frame1.size()).isOk());
+    ASSERT_TRUE(channel.sendBatch(frame2.data(), frame2.size()).isOk());
+
+    bool entered = false;
+    std::uint64_t pre_arm_hits = 0;
+    channel.on_peek = [&] {
+        if (entered || round_marker.peeks != 1)
+            return;
+        entered = true; // start of round 2, frame 2 still unchecked
+        kernel.syscallEnter(1, 1 /* write: no barrier */,
+                            /*spin_fast_path=*/false);
+        pre_arm_hits = kernel.statsFor(1).pre_arm_hits;
+    };
+    verifier.poll();
+
+    ASSERT_TRUE(entered);
+    EXPECT_EQ(pre_arm_hits, 0u);
+    EXPECT_EQ(verifier.statsFor(1).messages, 80u);
+    EXPECT_EQ(verifier.statsFor(1).violations, 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -353,9 +353,8 @@ TEST_P(ChannelConformance, BatchRecvDrainsInOrder)
     if (GetParam() == ChannelKind::PosixMq && !MqChannel::supported())
         GTEST_SKIP() << "POSIX message queues unavailable on this host";
 
-    // Every channel kind must honor the bulk-recv contract, whether it
-    // overrides tryRecvBatch (ring-backed kinds) or inherits the
-    // single-pop default (syscall kinds).
+    // Every channel kind must honor the bulk-recv contract, which the
+    // base class builds on each transport's peek/consume pair.
     auto channel = makeChannel(GetParam(), 1 << 10);
     constexpr std::uint64_t kCount = 300;
     std::thread sender([&] {
@@ -385,6 +384,57 @@ TEST_P(ChannelConformance, BatchRecvDrainsInOrder)
     sender.join();
     EXPECT_EQ(channel->tryRecvBatch(out, 64), 0u);
     EXPECT_EQ(channel->pending(), 0u);
+}
+
+TEST_P(ChannelConformance, PeekConsumeContract)
+{
+    if (GetParam() == ChannelKind::PosixMq && !MqChannel::supported())
+        GTEST_SKIP() << "POSIX message queues unavailable on this host";
+
+    // Every kind lends its queued slots in place: the ring-backed kinds
+    // their ring, the POSIX kinds a local buffer of kernel reads.
+    auto channel = makeChannel(GetParam(), 64);
+    RecvSpan span;
+    EXPECT_FALSE(channel->tryPeekSpan(span));
+    EXPECT_EQ(span.total(), 0u);
+
+    constexpr std::size_t kCount = 6; // within the POSIX queue depth
+    for (std::size_t i = 0; i < kCount; ++i) {
+        ASSERT_TRUE(
+            channel->send(Message(Opcode::EventCount, i, i + 100)).isOk());
+    }
+
+    ASSERT_TRUE(channel->tryPeekSpan(span));
+    ASSERT_EQ(span.total(), kCount);
+    for (std::size_t i = 0; i < kCount; ++i)
+        EXPECT_EQ(span.slot(i).arg0, i);
+    // Peeked but not consumed: still pending.
+    EXPECT_EQ(channel->pending(), kCount);
+
+    // A second peek without a consume gives the same view.
+    RecvSpan again;
+    ASSERT_TRUE(channel->tryPeekSpan(again));
+    ASSERT_EQ(again.total(), kCount);
+    for (std::size_t i = 0; i < kCount; ++i)
+        EXPECT_EQ(&again.slot(i), &span.slot(i));
+
+    // A partial consume leaves the rest, in send order.
+    channel->consumeSlots(2);
+    EXPECT_EQ(channel->pending(), kCount - 2);
+    ASSERT_TRUE(channel->tryPeekSpan(span));
+    ASSERT_EQ(span.total(), kCount - 2);
+    for (std::size_t i = 0; i < span.total(); ++i)
+        EXPECT_EQ(span.slot(i).arg0, i + 2);
+
+    // The copying receive drains through the same pair.
+    Message out[8];
+    ASSERT_EQ(channel->tryRecvBatch(out, 8), kCount - 2);
+    for (std::size_t i = 0; i < kCount - 2; ++i) {
+        EXPECT_EQ(out[i].arg0, i + 2);
+        EXPECT_EQ(out[i].arg1, i + 102);
+    }
+    EXPECT_EQ(channel->pending(), 0u);
+    EXPECT_FALSE(channel->tryPeekSpan(span));
 }
 
 TEST_P(ChannelConformance, TraitsAreDeclared)

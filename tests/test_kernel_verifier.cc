@@ -8,14 +8,24 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
+
+#include <unistd.h>
 
 #include "faultinject/fault.h"
 #include "fpga/fpga_channel.h"
+#include "ipc/frame.h"
+#include "ipc/posix_channels.h"
 #include "ipc/shm_channel.h"
 #include "kernel/kernel.h"
 #include "policy/pointer_integrity.h"
+#include "telemetry/event_log.h"
 #include "uarch/uarch_model_channel.h"
 #include "verifier/verifier.h"
 
@@ -536,6 +546,171 @@ TEST(Verifier, MaxEntriesTracksPolicyMetadata)
     verifier.poll();
     EXPECT_EQ(verifier.statsFor(1).max_entries, 50u);
 }
+
+// ---------------------------------------------------------------------
+// Verifier parity across transports: one drain loop, same verdicts
+// ---------------------------------------------------------------------
+
+struct ParityCase
+{
+    ChannelKind kind;
+    WireFormat format;
+    const char *name;
+};
+
+void
+PrintTo(const ParityCase &param, std::ostream *os)
+{
+    *os << param.name;
+}
+
+struct ParityRun
+{
+    VerifierProcessStats stats;
+    std::vector<std::string> reasons; //!< event-log reasons, in order
+};
+
+/** The "reason" field of every JSON line in an event log. */
+std::vector<std::string>
+eventReasons(const std::string &path)
+{
+    std::vector<std::string> reasons;
+    std::ifstream in(path);
+    const std::string key = "\"reason\":\"";
+    for (std::string line; std::getline(in, line);) {
+        const std::size_t at = line.find(key);
+        if (at == std::string::npos)
+            continue;
+        const std::size_t begin = at + key.size();
+        reasons.push_back(line.substr(begin, line.find('"', begin) - begin));
+    }
+    return reasons;
+}
+
+/**
+ * Feed one fixed v1-style stream through a channel of the given kind,
+ * driving the verifier single-threaded with poll(). The stream holds a
+ * pointer-integrity violation, four System-Call messages, and one
+ * message taken out of the channel before the verifier sees it (a
+ * sequence gap).
+ */
+ParityRun
+runParityStream(const ParityCase &param)
+{
+    constexpr Pid kPid = 7;
+    constexpr std::size_t kDropped = 7;
+    Message stream[] = {
+        Message(Opcode::PointerDefine, 0x1000, 0xAAAA),
+        Message(Opcode::PointerCheck, 0x1000, 0xAAAA),
+        Message(Opcode::Syscall, 1),
+        Message(Opcode::PointerDefine, 0x2000, 0xBBBB),
+        Message(Opcode::PointerCheck, 0x2000, 0xBAD), // violation
+        Message(Opcode::PointerCheck, 0x1000, 0xAAAA),
+        Message(Opcode::Syscall, 1),
+        Message(Opcode::PointerCheck, 0x2000, 0xBBBB), // dropped
+        Message(Opcode::PointerCheck, 0x1000, 0xAAAA), // sequence gap
+        Message(Opcode::Syscall, 1),
+        Message(Opcode::PointerInvalidate, 0x2000),
+        Message(Opcode::Syscall, 1),
+    };
+    // Software senders state the pid the device would stamp, so a
+    // violation renders the same message on every transport.
+    for (Message &message : stream)
+        message.pid = kPid;
+
+    const std::string log_path = ::testing::TempDir() + "hq_parity_" +
+                                 param.name + "_" +
+                                 std::to_string(::getpid()) + ".jsonl";
+    EXPECT_TRUE(telemetry::EventLog::instance().open(log_path));
+
+    KernelModule kernel;
+    Verifier::Config config;
+    config.num_shards = 1;
+    config.check_sequence = true;
+    config.check_crc = true;
+    config.kill_on_violation = false;
+    Verifier verifier(kernel, std::make_shared<PointerIntegrityPolicy>(),
+                      config);
+    std::unique_ptr<Channel> channel = makeChannel(param.kind, 64);
+    if (param.format == WireFormat::V2) {
+        EXPECT_TRUE(channel->negotiateFormat(WireFormat::V2));
+    }
+    // The FPGA path stamps pid and sequence on the device.
+    const bool device = param.kind == ChannelKind::Fpga;
+    if (device)
+        static_cast<FpgaChannel &>(*channel).afu().setPidRegister(kPid);
+    verifier.attachChannel(channel.get(), kPid, device);
+    EXPECT_TRUE(kernel.enableProcess(kPid).isOk());
+
+    // A v2 send of one message is a frame of one record.
+    const std::size_t slots_per_send =
+        param.format == WireFormat::V2 ? frame::frameSlots(1) : 1;
+    for (std::size_t i = 0; i < std::size(stream); ++i) {
+        if (i == kDropped)
+            verifier.poll(); // everything before the drop is checked
+        EXPECT_TRUE(channel->send(stream[i]).isOk());
+        if (i == kDropped) {
+            Message lost[frame::kMaxFrameSlots];
+            EXPECT_EQ(channel->tryRecvBatch(lost, slots_per_send),
+                      slots_per_send);
+        } else if (i % 3 == 2) {
+            verifier.poll(); // stay within the POSIX queue depth
+        }
+    }
+    verifier.poll();
+    telemetry::EventLog::instance().close();
+
+    ParityRun run;
+    run.stats = verifier.statsFor(kPid);
+    run.reasons = eventReasons(log_path);
+    std::remove(log_path.c_str());
+    return run;
+}
+
+class VerifierParity : public ::testing::TestWithParam<ParityCase>
+{
+};
+
+TEST_P(VerifierParity, SameVerdictsOnEveryTransport)
+{
+    if (GetParam().kind == ChannelKind::PosixMq && !MqChannel::supported())
+        GTEST_SKIP() << "POSIX message queues unavailable on this host";
+
+    const ParityRun reference = runParityStream(
+        {ChannelKind::SharedMemory, WireFormat::V1, "reference"});
+    EXPECT_EQ(reference.stats.messages, 11u);
+    EXPECT_EQ(reference.stats.violations, 2u);
+    EXPECT_EQ(reference.stats.syscall_acks, 4u);
+    ASSERT_EQ(reference.reasons.size(), 2u);
+    EXPECT_EQ(reference.reasons[1],
+              "message sequence gap: integrity violated");
+
+    const ParityRun run = runParityStream(GetParam());
+    EXPECT_EQ(run.stats.messages, reference.stats.messages);
+    EXPECT_EQ(run.stats.violations, reference.stats.violations);
+    EXPECT_EQ(run.stats.syscall_acks, reference.stats.syscall_acks);
+    EXPECT_EQ(run.reasons, reference.reasons);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, VerifierParity,
+    ::testing::Values(
+        ParityCase{ChannelKind::PosixMq, WireFormat::V1, "PosixMq"},
+        ParityCase{ChannelKind::Pipe, WireFormat::V1, "Pipe"},
+        ParityCase{ChannelKind::Socket, WireFormat::V1, "Socket"},
+        ParityCase{ChannelKind::SharedMemory, WireFormat::V1,
+                   "SharedMemory"},
+        ParityCase{ChannelKind::Fpga, WireFormat::V1, "Fpga"},
+        ParityCase{ChannelKind::UarchModel, WireFormat::V1, "UarchModel"},
+        ParityCase{ChannelKind::CrossProcess, WireFormat::V1,
+                   "CrossProcess"},
+        ParityCase{ChannelKind::SharedMemory, WireFormat::V2,
+                   "SharedMemoryV2"},
+        ParityCase{ChannelKind::CrossProcess, WireFormat::V2,
+                   "CrossProcessV2"}),
+    [](const ::testing::TestParamInfo<ParityCase> &info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace
 } // namespace hq

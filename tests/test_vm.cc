@@ -677,7 +677,6 @@ struct RecordingChannel : Channel
         sent.push_back(message);
         return Status::ok();
     }
-    bool tryRecv(Message &) override { return false; }
     std::size_t pending() const override { return 0; }
     const ChannelTraits &traits() const override { return channel_traits; }
 };
