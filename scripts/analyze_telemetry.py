@@ -244,6 +244,10 @@ def cmd_latency(args):
 # JSONL schemas, keyed by record type. Event records share one fixed
 # key order (telemetry/event_log.cc); flight lines have their own
 # (telemetry/flight_recorder.cc, shared by the signal-safe path).
+# EVENT_KINDS holds the name of every row of HQ_TELEMETRY_EVENTS
+# (src/telemetry/events.h) whose log column is true; the
+# EventLog.EveryLoggedKindPassesTheAnalyzerSchema test fails when a
+# logged kind is missing here.
 EVENT_KEYS = ["type", "ts_wall_ms", "ts_ns", "pid", "shard", "policy",
               "op", "arg0", "arg1", "seq", "lag_ns", "reason"]
 EVENT_KINDS = {"violation", "seq_gap", "epoch_timeout", "ring_drop",

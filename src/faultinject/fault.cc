@@ -10,9 +10,7 @@
 
 #include "common/log.h"
 #include "ipc/message.h"
-#include "telemetry/event_log.h"
-#include "telemetry/flight_recorder.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/events.h"
 
 namespace hq {
 namespace faultinject {
@@ -239,14 +237,12 @@ FaultPlan::fire(Site site)
     auto *counter = static_cast<telemetry::Counter *>(state.counter);
     if (counter != nullptr && telemetry::enabled())
         counter->inc();
-    // Every injection is flight-recorded (and triggers a rate-limited
-    // dump): a chaos run's dumps show what the pipeline did around each
-    // fault, which the audit counters alone cannot reconstruct.
-    telemetry::flight::record(telemetry::flight::Subsystem::Fault,
-                              telemetry::flight::Code::FaultInjected, 0,
-                              -1, static_cast<std::uint64_t>(index),
-                              fired);
-    telemetry::flight::requestDump("fault injected");
+    // Every injection is recorded (and triggers a rate-limited dump): a
+    // chaos run's dumps show what the pipeline did around each fault,
+    // which the audit counters alone cannot reconstruct.
+    telemetry::emit(telemetry::Event::FaultInjected,
+                    {.arg0 = static_cast<std::uint64_t>(index),
+                     .arg1 = fired});
     return true;
 }
 
@@ -562,14 +558,10 @@ emitAuditRecords()
         logWarn("faultinject: SILENT ACCEPT: ", injected, " ",
                 siteName(detector.site),
                 " fault(s) injected but no detector fired (", tried, ")");
-        if (telemetry::EventLog::instance().active()) {
-            telemetry::EventRecord record;
-            record.type = telemetry::EventType::SilentAccept;
-            record.arg0 = injected;
-            record.reason = std::string(siteName(detector.site)) +
-                            ": no detector fired (" + tried + ")";
-            telemetry::EventLog::instance().append(record);
-        }
+        telemetry::emit(telemetry::Event::SilentAccept,
+                        {.arg0 = injected,
+                         .reason = std::string(siteName(detector.site)) +
+                                   ": no detector fired (" + tried + ")"});
     }
     return silent;
 }

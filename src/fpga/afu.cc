@@ -5,8 +5,7 @@
 
 #include "faultinject/fault.h"
 #include "ipc/message.h"
-#include "telemetry/event_log.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/events.h"
 
 namespace hq {
 
@@ -14,7 +13,6 @@ namespace {
 
 HQ_TELEMETRY_HANDLE(appendHist, Histogram, "fpga.append_ns")
 HQ_TELEMETRY_HANDLE(messagesCounter, Counter, "fpga.messages")
-HQ_TELEMETRY_HANDLE(droppedCounter, Counter, "fpga.dropped")
 
 } // namespace
 
@@ -103,19 +101,13 @@ FpgaAfu::mmioWrite(std::uint32_t offset, std::uint64_t data)
             // verifier will observe a gap in the sequence counter and
             // must terminate the monitored program (integrity violation).
             _dropped.fetch_add(1, std::memory_order_relaxed);
-            if (telemetry::enabled())
-                droppedCounter().inc();
-            if (telemetry::EventLog::instance().active()) {
-                telemetry::EventRecord record;
-                record.type = telemetry::EventType::RingDrop;
-                record.pid = message.pid;
-                record.op = opcodeName(message.op);
-                record.arg0 = message.arg0;
-                record.arg1 = message.arg1;
-                record.seq = message.seq;
-                record.reason = "FPGA host buffer full";
-                telemetry::EventLog::instance().append(record);
-            }
+            telemetry::emit(telemetry::Event::RingDrop,
+                            {.pid = message.pid,
+                             .op = opcodeName(message.op),
+                             .arg0 = message.arg0,
+                             .arg1 = message.arg1,
+                             .seq = message.seq,
+                             .reason = "FPGA host buffer full"});
         } else if (telemetry::enabled()) {
             messagesCounter().inc();
         }

@@ -303,8 +303,10 @@ SocketChannel::sendImpl(const Message &message)
             continue; // simulated EAGAIN
         }
         const ssize_t n = ::send(_send_fd, &message, sizeof(message), 0);
-        if (n == sizeof(message))
+        if (n == sizeof(message)) {
+            _in_flight.fetch_add(1, std::memory_order_relaxed);
             return Status::ok();
+        }
         if (n < 0 && (errno == EINTR || errno == ENOBUFS ||
                       errno == EAGAIN)) {
             // Datagram buffer full: wait for the verifier to drain.
@@ -323,19 +325,18 @@ SocketChannel::readOne(Message &out)
 {
     if (_recv_fd < 0)
         return false;
-    const ssize_t n = ::recv(_recv_fd, &out, sizeof(out), 0);
-    return n == sizeof(out);
+    if (::recv(_recv_fd, &out, sizeof(out), 0) != sizeof(out))
+        return false;
+    _in_flight.fetch_sub(1, std::memory_order_relaxed);
+    return true;
 }
 
 std::size_t
 SocketChannel::kernelPending() const
 {
-    if (_recv_fd < 0)
-        return 0;
-    int bytes = 0;
-    if (ioctl(_recv_fd, FIONREAD, &bytes) != 0)
-        return 0;
-    return static_cast<std::size_t>(bytes) / sizeof(Message);
+    // FIONREAD on a datagram socket reports only the next datagram's
+    // size, so count what is in flight instead.
+    return _in_flight.load(std::memory_order_relaxed);
 }
 
 } // namespace hq

@@ -109,6 +109,8 @@ class SocketChannel : public PosixChannel
   private:
     int _send_fd = -1;
     int _recv_fd = -1;
+    /// Datagrams sent minus datagrams received; both ends live here.
+    std::atomic<std::size_t> _in_flight{0};
     ChannelTraits _traits;
 };
 

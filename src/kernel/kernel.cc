@@ -5,9 +5,7 @@
 
 #include "common/log.h"
 #include "faultinject/fault.h"
-#include "telemetry/event_log.h"
-#include "telemetry/flight_recorder.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/events.h"
 #include "telemetry/trace.h"
 #include "verifier/shard.h" // shardIndexFor: the verifier's pid hash
 
@@ -17,7 +15,6 @@ namespace {
 
 HQ_TELEMETRY_HANDLE(syscallPauseHist, Histogram, "kernel.syscall_pause_ns")
 HQ_TELEMETRY_HANDLE(syscallsCounter, Counter, "kernel.syscalls")
-HQ_TELEMETRY_HANDLE(epochTimeoutsCounter, Counter, "kernel.epoch_timeouts")
 // High-water speculation depth (Gauge::set keeps the max): how far
 // ahead of verification any process has retired syscalls.
 HQ_TELEMETRY_HANDLE(specDepthGauge, Gauge, "kernel.spec_depth")
@@ -75,13 +72,10 @@ KernelModule::replayProcessesTo(ProcessEventListener *listener)
     }
     for (Pid pid : live)
         listener->onProcessEnabled(pid);
-    if (telemetry::EventLog::instance().active()) {
-        telemetry::EventRecord record;
-        record.type = telemetry::EventType::VerifierRestart;
-        record.arg0 = live.size();
-        record.reason = "verifier re-attached; live processes replayed";
-        telemetry::EventLog::instance().append(record);
-    }
+    telemetry::emit(telemetry::Event::VerifierRestart,
+                    {.arg0 = live.size(),
+                     .reason = "verifier re-attached; live processes "
+                               "replayed"});
     logInfo("kernel: replayed ", live.size(),
             " live process(es) to a restarted verifier");
     return live.size();
@@ -293,28 +287,18 @@ KernelModule::syscallEnter(Pid pid, std::uint64_t sysno,
             // No synchronization message within the epoch: treat as a
             // policy violation and terminate the monitored program.
             ++context->stats.epoch_timeouts;
-            if (telemetry::enabled())
-                epochTimeoutsCounter().inc();
-            if (telemetry::EventLog::instance().active()) {
-                telemetry::EventRecord record;
-                record.type = telemetry::EventType::EpochTimeout;
-                record.pid = pid;
-                record.op = "Syscall";
-                record.arg0 = static_cast<std::uint64_t>(sysno);
-                record.reason = "synchronization epoch expired";
-                telemetry::EventLog::instance().append(record);
-            }
             context->killed = true;
             context->kill_reason = "synchronization epoch expired";
-            telemetry::flight::record(
-                telemetry::flight::Subsystem::Kernel,
-                telemetry::flight::Code::EpochTimeout, pid, -1,
-                static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        epoch)
-                        .count()),
-                static_cast<std::uint64_t>(sysno));
-            telemetry::flight::requestDump("epoch timeout");
+            telemetry::emit(
+                telemetry::Event::EpochTimeout,
+                {.pid = pid,
+                 .op = "Syscall",
+                 .arg0 = static_cast<std::uint64_t>(sysno),
+                 .arg1 = static_cast<std::uint64_t>(
+                     std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         epoch)
+                         .count()),
+                 .reason = context->kill_reason});
             logWarn("kernel: epoch expired for pid ", pid, " at syscall ",
                     sysno);
             return Status::error(StatusCode::PolicyViolation,
@@ -385,9 +369,10 @@ KernelModule::applyResumeLocked(Bucket &bucket, const SyscallAck &ack)
     // trying to bank admissions.
     context->sc_acked = std::min<std::uint64_t>(
         context->sc_acked + ack.count, context->sc_gated + 1);
-    telemetry::flight::record(telemetry::flight::Subsystem::Kernel,
-                              telemetry::flight::Code::SyscallResume,
-                              ack.pid, -1, ack.count, context->sc_acked);
+    telemetry::emit(telemetry::Event::SyscallResume,
+                    {.pid = ack.pid,
+                     .arg0 = ack.count,
+                     .arg1 = context->sc_acked});
     context->cv.notify_all();
 }
 
@@ -446,19 +431,16 @@ KernelModule::killProcess(Pid pid, const std::string &reason)
     const std::uint64_t depth = context->sc_gated > context->sc_acked
                                     ? context->sc_gated - context->sc_acked
                                     : 0;
-    if (depth > 0 && telemetry::EventLog::instance().active()) {
-        telemetry::EventRecord record;
-        record.type = telemetry::EventType::SpecKill;
-        record.pid = pid;
-        record.op = "Syscall";
-        record.arg0 = depth;
-        record.arg1 = _config.speculation_window;
-        record.reason = reason;
-        telemetry::EventLog::instance().append(record);
+    telemetry::emit(telemetry::Event::ProcessKilled,
+                    {.pid = pid, .arg0 = depth});
+    if (depth > 0) {
+        telemetry::emit(telemetry::Event::SpecKill,
+                        {.pid = pid,
+                         .op = "Syscall",
+                         .arg0 = depth,
+                         .arg1 = _config.speculation_window,
+                         .reason = reason});
     }
-    telemetry::flight::record(telemetry::flight::Subsystem::Kernel,
-                              telemetry::flight::Code::ProcessKilled, pid,
-                              -1, depth);
     context->cv.notify_all();
 }
 

@@ -2,7 +2,7 @@
 
 #include <chrono>
 
-#include "telemetry/telemetry.h"
+#include "telemetry/flight_recorder.h"
 
 namespace hq {
 namespace telemetry {
@@ -11,35 +11,54 @@ namespace {
 
 HQ_TELEMETRY_HANDLE(recordsCounter, Counter, "eventlog.records")
 
+/** The registry counter of each event kind (nullptr: none). */
+Counter *
+eventCounter(Event kind)
+{
+    static Counter *const *counters = [] {
+        static Counter *table[kEventKinds] = {};
+        for (std::size_t i = 0; i < kEventKinds; ++i) {
+            if (kEventSpecs[i].counter != nullptr)
+                table[i] =
+                    &Registry::instance().counter(kEventSpecs[i].counter);
+        }
+        return table;
+    }();
+    return counters[static_cast<std::size_t>(kind)];
+}
+
 } // namespace
 
-const char *
-eventTypeName(EventType type)
+namespace detail {
+
+void
+emitSlow(Event kind, std::uint32_t sinks, const EventFields &fields)
 {
-    switch (type) {
-      case EventType::Violation:
-        return "violation";
-      case EventType::SeqGap:
-        return "seq_gap";
-      case EventType::EpochTimeout:
-        return "epoch_timeout";
-      case EventType::RingDrop:
-        return "ring_drop";
-      case EventType::CorruptMsg:
-        return "corrupt_msg";
-      case EventType::VerifierRestart:
-        return "verifier_restart";
-      case EventType::SilentAccept:
-        return "silent_accept";
-      case EventType::HealthChange:
-        return "health_change";
-      case EventType::FlightDump:
-        return "flight_dump";
-      case EventType::SpecKill:
-        return "spec_kill";
+    const EventSpec &spec = eventSpec(kind);
+    if ((sinks & kSinkTelemetry) && spec.counter != nullptr)
+        eventCounter(kind)->inc();
+    if ((sinks & kSinkEventLog) && spec.log)
+        EventLog::instance().write(spec.name, fields);
+    if ((sinks & (kSinkTelemetry | kSinkFlight)) &&
+        spec.ring != RingAs::None) {
+        flight::Record record;
+        record.ts_ns = monotonicRawNs();
+        record.pid = fields.pid;
+        record.arg0 = fields.arg0;
+        record.arg1 = fields.arg1;
+        record.kind = static_cast<std::uint32_t>(kind);
+        record.shard = fields.shard;
+        flight::detail::append(record);
     }
-    return "unknown";
+    if (sinks & kSinkFlight) {
+        if (spec.dump == Dump::Forced)
+            flight::dump(spec.name);
+        else if (spec.dump == Dump::Limited)
+            flight::requestDump(spec.name);
+    }
 }
+
+} // namespace detail
 
 EventLog &
 EventLog::instance()
@@ -57,7 +76,7 @@ EventLog::open(const std::string &path)
     _out.open(path, std::ios::trunc);
     const bool ok = _out.is_open();
     _recorded.store(0, std::memory_order_relaxed);
-    _active.store(ok, std::memory_order_relaxed);
+    detail::setSink(detail::kSinkEventLog, ok);
     return ok;
 }
 
@@ -65,7 +84,7 @@ void
 EventLog::close()
 {
     std::lock_guard<std::mutex> guard(_mutex);
-    _active.store(false, std::memory_order_relaxed);
+    detail::setSink(detail::kSinkEventLog, false);
     if (_out.is_open()) {
         _out.flush();
         _out.close();
@@ -76,7 +95,7 @@ namespace {
 
 /** Escape the reason string for embedding in a JSON literal. */
 void
-appendEscaped(std::ofstream &out, const std::string &text)
+appendEscaped(std::ofstream &out, std::string_view text)
 {
     for (char c : text) {
         switch (c) {
@@ -102,7 +121,7 @@ appendEscaped(std::ofstream &out, const std::string &text)
 } // namespace
 
 void
-EventLog::append(const EventRecord &record)
+EventLog::write(const char *type, const EventFields &fields)
 {
     if (!active())
         return;
@@ -115,17 +134,16 @@ EventLog::append(const EventRecord &record)
     std::lock_guard<std::mutex> guard(_mutex);
     if (!_out.is_open())
         return;
-    _out << "{\"type\":\"" << eventTypeName(record.type)
-         << "\",\"ts_wall_ms\":" << wall_ms << ",\"ts_ns\":" << ts_ns
-         << ",\"pid\":" << record.pid << ",\"shard\":" << record.shard
-         << ",\"policy\":\"";
-    appendEscaped(_out, record.policy);
+    _out << "{\"type\":\"" << type << "\",\"ts_wall_ms\":" << wall_ms
+         << ",\"ts_ns\":" << ts_ns << ",\"pid\":" << fields.pid
+         << ",\"shard\":" << fields.shard << ",\"policy\":\"";
+    appendEscaped(_out, fields.policy);
     _out << "\",\"op\":\"";
-    appendEscaped(_out, record.op);
-    _out << "\",\"arg0\":" << record.arg0 << ",\"arg1\":" << record.arg1
-         << ",\"seq\":" << record.seq << ",\"lag_ns\":" << record.lag_ns
+    appendEscaped(_out, fields.op);
+    _out << "\",\"arg0\":" << fields.arg0 << ",\"arg1\":" << fields.arg1
+         << ",\"seq\":" << fields.seq << ",\"lag_ns\":" << fields.lag_ns
          << ",\"reason\":\"";
-    appendEscaped(_out, record.reason);
+    appendEscaped(_out, fields.reason);
     _out << "\"}\n";
     // Flush per record: violations usually precede a kill, and a
     // truncated audit line defeats the log's purpose.

@@ -12,7 +12,9 @@
  * lag, and both wall-clock and monotonic timestamps, so a run's
  * violation log can be joined against its telemetry trace.
  *
- * The log is inert until opened: producers pay one relaxed atomic load.
+ * Producers do not call the log directly: telemetry::emit() appends the
+ * event kinds whose row in the event table (telemetry/events.h) says
+ * so. The log is inert until opened: emit pays one relaxed atomic load.
  * Appends are mutex-serialized (violations are rare by construction —
  * a monitored program is killed or already compromised when they
  * fire), and the stream is flushed per record so a killed process
@@ -28,52 +30,12 @@
 #include <mutex>
 #include <string>
 
-#include "common/types.h"
+#include "telemetry/events.h"
 
 namespace hq {
 namespace telemetry {
 
-/** Kinds of audited events (the JSONL "type" field). */
-enum class EventType {
-    Violation,    //!< failed policy check
-    SeqGap,       //!< FPGA sequence-counter gap (dropped messages)
-    EpochTimeout, //!< no sync message within the kernel epoch
-    RingDrop,     //!< message lost to a full no-back-pressure buffer
-    CorruptMsg,   //!< message failed its CRC guard (bit-flip detected)
-    VerifierRestart, //!< verifier re-attached and replayed live pids
-    SilentAccept, //!< injected fault class with no detector fired (audit)
-    HealthChange, //!< shard health state transition (watchdog)
-    FlightDump,   //!< flight-recorder dump written (reason = trigger)
-    SpecKill,     //!< kill landed inside the speculation window
-                  //!< (arg0 = unacked depth, arg1 = configured window)
-};
-
-const char *eventTypeName(EventType type);
-
-/** One audited event; fields without a value are emitted as 0/"". */
-struct EventRecord
-{
-    EventType type = EventType::Violation;
-    Pid pid = 0;
-    /// Verifier shard that owns pid's state (-1 when the emitter is not
-    /// the verifier — e.g. ring drops observed device-side).
-    std::int32_t shard = -1;
-    /// Policy family that raised a violation verdict ("cfi", "ifc",
-    /// ...); "transport" for integrity failures (CRC, seq gap); "" when
-    /// the event is not a verdict at all.
-    std::string policy;
-    std::string op; //!< opcode name of the offending message ("" = none)
-    std::uint64_t arg0 = 0;
-    std::uint64_t arg1 = 0;
-    std::uint32_t seq = 0;
-    std::uint64_t lag_ns = 0; //!< verification lag when known
-    std::string reason;
-};
-
-/**
- * Process-global JSONL sink. open() activates it; append() is a no-op
- * (one relaxed load) while inactive.
- */
+/** Process-global JSONL sink. open() activates it. */
 class EventLog
 {
   public:
@@ -88,11 +50,12 @@ class EventLog
     bool
     active() const
     {
-        return _active.load(std::memory_order_relaxed);
+        return detail::g_sinks.load(std::memory_order_relaxed) &
+               detail::kSinkEventLog;
     }
 
-    /** Append one record as a JSON line (no-op while inactive). */
-    void append(const EventRecord &record);
+    /** Append one record of JSONL type `type` (no-op while inactive). */
+    void write(const char *type, const EventFields &fields);
 
     /** Records appended since open(). */
     std::uint64_t recorded() const
@@ -103,7 +66,6 @@ class EventLog
   private:
     EventLog() = default;
 
-    std::atomic<bool> _active{false};
     std::atomic<std::uint64_t> _recorded{0};
     std::mutex _mutex;
     std::ofstream _out;

@@ -10,26 +10,21 @@
 #include <ctime>
 #include <mutex>
 
-#include "telemetry/event_log.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/events.h"
 
 namespace hq {
 namespace telemetry {
 namespace flight {
 
-namespace detail {
-std::atomic<bool> g_enabled{false};
-} // namespace detail
-
 namespace {
 
-HQ_TELEMETRY_HANDLE(dumpsCounter, Counter, "flight.dumps")
+HQ_TELEMETRY_HANDLE(droppedCounter, Counter, "flight.dropped_records")
 
 constexpr std::size_t kWordsPerRecord = sizeof(Record) / sizeof(std::uint64_t);
 
 /**
  * One thread's ring. Records live as relaxed-atomic 64-bit words so the
- * dump path may read while the owner writes: the race is benign and
+ * exporters may read while the owner writes: the race is benign and
  * defined, and tearing is confined to the slot being overwritten.
  */
 struct Ring
@@ -42,7 +37,6 @@ struct Ring
 // Static pool: zero-page-backed until a thread actually records.
 Ring g_rings[kMaxThreads];
 std::atomic<std::uint32_t> g_slot_taken[kMaxThreads];
-std::atomic<std::uint64_t> g_dropped_records{0};
 
 /** Claims a ring slot for the thread's lifetime; releases on exit so
  *  short-lived threads recycle slots (their records persist until the
@@ -148,11 +142,11 @@ formatRecordLine(char *buf, std::size_t cap, const Record &r)
     out = appendU64(out, end, r.thread);
     out = appendLiteral(out, end, ",\"seq\":");
     out = appendU64(out, end, r.seq);
+    const EventSpec &spec = eventSpec(static_cast<Event>(r.kind));
     out = appendLiteral(out, end, ",\"subsystem\":\"");
-    out = appendSanitized(out, end,
-                          subsystemName(static_cast<Subsystem>(r.subsystem)));
+    out = appendSanitized(out, end, spec.subsystem);
     out = appendLiteral(out, end, "\",\"code\":\"");
-    out = appendSanitized(out, end, codeName(static_cast<Code>(r.code)));
+    out = appendSanitized(out, end, spec.ring_name);
     out = appendLiteral(out, end, "\",\"pid\":");
     out = appendU64(out, end, r.pid);
     out = appendLiteral(out, end, ",\"shard\":");
@@ -192,7 +186,7 @@ formatHeaderLine(char *buf, std::size_t cap, const char *trigger,
 
 /** Read one record out of a ring slot (relaxed word loads). */
 Record
-loadRecord(const Ring &ring, std::size_t index)
+loadRecord(const Ring &ring, std::uint64_t index)
 {
     std::uint64_t words[kWordsPerRecord];
     const std::size_t base =
@@ -204,22 +198,65 @@ loadRecord(const Ring &ring, std::size_t index)
     return record;
 }
 
-/** Collect every ring's live records, oldest-first per ring. */
+/** The slice [lo, hi) of one ring that an exporter reads, holding
+ *  `count` records of the exporter's view. */
+struct Window
+{
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    std::size_t count = 0;
+};
+
+/** The flight view (newest kDumpRecordsPerThread event records) or the
+ *  whole retained ring. Signal-safe. */
+Window
+ringWindow(const Ring &ring, bool events_only)
+{
+    Window w;
+    w.hi = ring.next.load(std::memory_order_acquire);
+    const std::uint64_t oldest =
+        w.hi > kRecordsPerThread ? w.hi - kRecordsPerThread : 0;
+    if (!events_only) {
+        w.lo = oldest;
+        w.count = static_cast<std::size_t>(w.hi - oldest);
+        return w;
+    }
+    w.lo = w.hi;
+    while (w.lo > oldest && w.count < kDumpRecordsPerThread) {
+        if (isEventRecord(loadRecord(ring, --w.lo)))
+            ++w.count;
+    }
+    return w;
+}
+
+/** Calls visit(record) on each record of the window's view. */
+template <typename Visit>
+void
+forEachRecord(const Ring &ring, const Window &w, bool events_only,
+              Visit &&visit)
+{
+    for (std::uint64_t k = w.lo; k < w.hi; ++k) {
+        const Record record = loadRecord(ring, k);
+        if (!events_only || isEventRecord(record))
+            visit(record);
+    }
+}
+
+/** One view of every ring, merged oldest-first. */
 std::vector<Record>
-collectRecords()
+collectRecords(bool events_only)
 {
     std::vector<Record> out;
-    for (std::size_t i = 0; i < kMaxThreads; ++i) {
-        Ring &ring = g_rings[i];
+    for (const Ring &ring : g_rings) {
         if (!ring.used.load(std::memory_order_relaxed))
             continue;
-        const std::uint64_t cursor =
-            ring.next.load(std::memory_order_relaxed);
-        const std::uint64_t count =
-            std::min<std::uint64_t>(cursor, kRecordsPerThread);
-        for (std::uint64_t k = cursor - count; k < cursor; ++k)
-            out.push_back(loadRecord(ring, k));
+        forEachRecord(ring, ringWindow(ring, events_only), events_only,
+                      [&out](const Record &r) { out.push_back(r); });
     }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const Record &a, const Record &b) {
+                         return a.ts_ns < b.ts_ns;
+                     });
     return out;
 }
 
@@ -246,93 +283,34 @@ constexpr std::size_t kLineCap = 320;
 namespace detail {
 
 void
-record(Subsystem subsystem, Code code, std::uint64_t pid,
-       std::int32_t shard, std::uint64_t arg0, std::uint64_t arg1)
+append(Record record)
 {
     const int slot = threadSlot();
     if (slot < 0) {
-        g_dropped_records.fetch_add(1, std::memory_order_relaxed);
+        droppedCounter().inc();
         return;
     }
     Ring &ring = g_rings[slot];
-    const std::uint64_t index =
-        ring.next.fetch_add(1, std::memory_order_relaxed);
-
-    Record r;
-    r.ts_ns = monotonicRawNs();
-    r.seq = index;
-    r.pid = pid;
-    r.arg0 = arg0;
-    r.arg1 = arg1;
-    r.subsystem = static_cast<std::uint32_t>(subsystem);
-    r.code = static_cast<std::uint32_t>(code);
-    r.shard = shard;
-    r.thread = static_cast<std::uint32_t>(slot);
-
+    // The owner is the ring's only writer: publish the cursor after the
+    // slot so readers see whole records (bar a wrap-around overwrite).
+    const std::uint64_t index = ring.next.load(std::memory_order_relaxed);
+    record.seq = index;
+    record.thread = static_cast<std::uint32_t>(slot);
     std::uint64_t words[kWordsPerRecord];
-    std::memcpy(words, &r, sizeof(r));
+    std::memcpy(words, &record, sizeof(record));
     const std::size_t base =
         (index & (kRecordsPerThread - 1)) * kWordsPerRecord;
     for (std::size_t w = 0; w < kWordsPerRecord; ++w)
         ring.words[base + w].store(words[w], std::memory_order_relaxed);
+    ring.next.store(index + 1, std::memory_order_release);
 }
 
 } // namespace detail
 
-const char *
-subsystemName(Subsystem subsystem)
-{
-    switch (subsystem) {
-      case Subsystem::Verifier:
-        return "verifier";
-      case Subsystem::Kernel:
-        return "kernel";
-      case Subsystem::Ipc:
-        return "ipc";
-      case Subsystem::Fault:
-        return "fault";
-      case Subsystem::Health:
-        return "health";
-      case Subsystem::App:
-        return "app";
-    }
-    return "unknown";
-}
-
-const char *
-codeName(Code code)
-{
-    switch (code) {
-      case Code::DrainBatch:
-        return "drain_batch";
-      case Code::Violation:
-        return "violation";
-      case Code::SyscallAck:
-        return "syscall_ack";
-      case Code::SloBreach:
-        return "slo_breach";
-      case Code::EpochTimeout:
-        return "epoch_timeout";
-      case Code::ProcessKilled:
-        return "process_killed";
-      case Code::SyscallResume:
-        return "syscall_resume";
-      case Code::FaultInjected:
-        return "fault_injected";
-      case Code::HealthTransition:
-        return "health_transition";
-      case Code::Heartbeat:
-        return "heartbeat";
-      case Code::Custom:
-        return "custom";
-    }
-    return "unknown";
-}
-
 void
 setEnabled(bool on)
 {
-    detail::g_enabled.store(on, std::memory_order_relaxed);
+    telemetry::detail::setSink(telemetry::detail::kSinkFlight, on);
 }
 
 bool
@@ -366,47 +344,37 @@ dumpPath()
 std::vector<Record>
 snapshot()
 {
-    std::vector<Record> records = collectRecords();
-    std::stable_sort(records.begin(), records.end(),
-                     [](const Record &a, const Record &b) {
-                         return a.ts_ns < b.ts_ns;
-                     });
-    return records;
+    return collectRecords(true);
+}
+
+std::vector<Record>
+snapshotAll()
+{
+    return collectRecords(false);
 }
 
 std::size_t
 dump(const char *trigger)
 {
-    std::lock_guard<std::mutex> guard(g_dump_mutex);
-    const int fd = g_fd.load(std::memory_order_relaxed);
-    if (fd < 0)
-        return 0;
-
-    std::vector<Record> records = collectRecords();
-    std::stable_sort(records.begin(), records.end(),
-                     [](const Record &a, const Record &b) {
-                         return a.ts_ns < b.ts_ns;
-                     });
-
-    std::string out;
-    out.reserve((records.size() + 1) * 160);
-    char line[kLineCap];
-    out.append(line, formatHeaderLine(line, sizeof(line), trigger,
-                                      records.size()));
-    for (const Record &r : records)
-        out.append(line, formatRecordLine(line, sizeof(line), r));
-    writeAll(fd, out.data(), out.size());
-
-    dumpsCounter().inc();
-    if (EventLog::instance().active()) {
-        EventRecord event;
-        event.type = EventType::FlightDump;
-        event.pid = 0;
-        event.arg0 = records.size();
-        event.reason = trigger;
-        EventLog::instance().append(event);
+    std::size_t written = 0;
+    {
+        std::lock_guard<std::mutex> guard(g_dump_mutex);
+        const int fd = g_fd.load(std::memory_order_relaxed);
+        if (fd < 0)
+            return 0;
+        const std::vector<Record> records = snapshot();
+        std::string out;
+        out.reserve((records.size() + 1) * 160);
+        char line[kLineCap];
+        out.append(line, formatHeaderLine(line, sizeof(line), trigger,
+                                          records.size()));
+        for (const Record &r : records)
+            out.append(line, formatRecordLine(line, sizeof(line), r));
+        writeAll(fd, out.data(), out.size());
+        written = records.size();
     }
-    return records.size();
+    emit(Event::FlightDump, {.arg0 = written, .reason = trigger});
+    return written;
 }
 
 void
@@ -432,30 +400,22 @@ dumpSignalSafe(int fd, const char *trigger)
 {
     if (fd < 0)
         return;
-    char line[kLineCap];
+    // Fix each ring's window first so the header's count matches the
+    // lines below even while other threads keep recording.
+    Window windows[kMaxThreads];
     std::size_t total = 0;
     for (std::size_t i = 0; i < kMaxThreads; ++i) {
-        const Ring &ring = g_rings[i];
-        if (!ring.used.load(std::memory_order_relaxed))
+        if (!g_rings[i].used.load(std::memory_order_relaxed))
             continue;
-        const std::uint64_t cursor =
-            ring.next.load(std::memory_order_relaxed);
-        total += static_cast<std::size_t>(
-            std::min<std::uint64_t>(cursor, kRecordsPerThread));
+        windows[i] = ringWindow(g_rings[i], true);
+        total += windows[i].count;
     }
+    char line[kLineCap];
     writeAll(fd, line, formatHeaderLine(line, sizeof(line), trigger, total));
     for (std::size_t i = 0; i < kMaxThreads; ++i) {
-        const Ring &ring = g_rings[i];
-        if (!ring.used.load(std::memory_order_relaxed))
-            continue;
-        const std::uint64_t cursor =
-            ring.next.load(std::memory_order_relaxed);
-        const std::uint64_t count =
-            std::min<std::uint64_t>(cursor, kRecordsPerThread);
-        for (std::uint64_t k = cursor - count; k < cursor; ++k) {
-            const Record r = loadRecord(ring, k);
+        forEachRecord(g_rings[i], windows[i], true, [&](const Record &r) {
             writeAll(fd, line, formatRecordLine(line, sizeof(line), r));
-        }
+        });
     }
 }
 
@@ -486,6 +446,24 @@ installFatalSignalDump()
         ::sigaction(signum, &action, nullptr);
 }
 
+std::uint64_t
+recordsWritten()
+{
+    std::uint64_t total = 0;
+    for (const Ring &ring : g_rings)
+        total += ring.next.load(std::memory_order_relaxed);
+    return total;
+}
+
+std::size_t
+ringsClaimed()
+{
+    std::size_t claimed = 0;
+    for (const Ring &ring : g_rings)
+        claimed += ring.used.load(std::memory_order_relaxed) ? 1 : 0;
+    return claimed;
+}
+
 void
 resetForTest()
 {
@@ -495,10 +473,9 @@ resetForTest()
         if (!ring.used.load(std::memory_order_relaxed))
             continue;
         ring.next.store(0, std::memory_order_relaxed);
-        for (auto &word : ring.words)
-            word.store(0, std::memory_order_relaxed);
+        ring.used.store(g_slot_taken[i].load(std::memory_order_relaxed) != 0,
+                        std::memory_order_relaxed);
     }
-    g_dropped_records.store(0, std::memory_order_relaxed);
     g_last_dump_ns.store(0, std::memory_order_relaxed);
 }
 

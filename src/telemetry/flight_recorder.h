@@ -1,33 +1,44 @@
 /**
  * @file
- * Flight recorder: a lock-free, per-thread ring of the last N fixed-size
- * structured records, always cheap enough to leave on in production.
+ * The per-thread record ring, and the flight recorder that dumps it.
  *
- * The verifier's security argument is *bounded asynchronous validation*:
- * a syscall may not retire until the owning shard has drained the
- * process's queue. When that bound is about to be violated — a wedged
- * drain loop, an SLO breach, a policy violation — the most valuable
- * evidence is what the enforcement pipeline did in the last few
- * milliseconds, which the metrics registry (monotonic totals) cannot
- * reconstruct. Each thread records into its own fixed ring with one
- * relaxed atomic store-sequence per 64-byte record; a dump walks every
- * ring, merges by timestamp and appends the snapshot as JSONL next to
- * the event log (`flight_header` + `flight_record` lines), emitting a
- * `flight_dump` event-log record as the cross-reference.
+ * Every thread that records owns one of kMaxThreads rings of
+ * kRecordsPerThread fixed 64-byte records. Two kinds of record share
+ * it: event records (telemetry::emit, one row of the event table in
+ * telemetry/events.h) and trace records (TraceScope, traceInstant,
+ * traceCounter, traceFlowBegin/End in telemetry/trace.h). Two exporters
+ * read it: the Chrome trace (telemetry::writeJsonFile) shows every
+ * record, and the flight dump shows the newest kDumpRecordsPerThread
+ * event records of each ring.
  *
- * Dump triggers: policy-violation verdicts, verification-lag SLO
- * breaches, fault-injection fires, shard health transitions to STALLED,
- * fatal signals (async-signal-safe path), and on demand. Triggered
- * dumps are rate-limited (requestDump) so a violation storm cannot turn
- * the recorder into a log flood.
+ * The verifier's security argument is *bounded asynchronous
+ * validation*: a syscall may not retire until the owning shard has
+ * drained the process's queue. When that bound is about to be violated
+ * — a wedged drain loop, an SLO breach, a policy violation — the most
+ * valuable evidence is what the enforcement pipeline did in the last
+ * few milliseconds, which the metrics registry (monotonic totals)
+ * cannot reconstruct. A dump merges every ring by timestamp and appends
+ * the snapshot as JSONL next to the event log (`flight_header` +
+ * `flight_record` lines), emitting a `flight_dump` event as the
+ * cross-reference.
  *
- * Cost model: disabled, every record() is one relaxed load + branch
- * (same discipline as telemetry::enabled(), so the <2% disabled-overhead
- * ctest gate holds). Enabled, a record is one clock read plus eight
- * relaxed 64-bit stores into a thread-local slot — no locks, no RMW on
- * shared cache lines. Readers (dump) race benignly with writers: a torn
+ * Dump triggers: the event table's Limited and Forced rows (policy
+ * violations, SLO breaches, fault-injection fires, shard health
+ * transitions to STALLED), fatal signals (async-signal-safe path), exit
+ * and on demand. Triggered dumps are rate-limited (requestDump) so a
+ * violation storm cannot turn the recorder into a log flood.
+ *
+ * Cost model: with telemetry and the flight recorder both off, every
+ * hook is one relaxed load + branch and no ring page is touched (the
+ * rings are zero-initialized static storage, left to the zero page
+ * until a thread writes). On, a record is one clock read plus eight
+ * relaxed 64-bit stores into the thread's own ring — no locks, no RMW
+ * on shared cache lines. Readers race benignly with writers: a torn
  * record is confined to the one slot being overwritten, the same
- * tolerance the statsboard seqlock copy uses.
+ * tolerance the statsboard seqlock copy uses. Rings are claimed per
+ * thread and released at thread exit, so short-lived threads recycle
+ * them; a thread that finds all kMaxThreads taken drops its records
+ * (counted in `flight.dropped_records`).
  */
 
 #ifndef HQ_TELEMETRY_FLIGHT_RECORDER_H
@@ -39,88 +50,60 @@
 #include <string>
 #include <vector>
 
+#include "telemetry/events.h"
+
 namespace hq {
 namespace telemetry {
 namespace flight {
 
-/** Component that emitted a record (JSONL "subsystem"). */
-enum class Subsystem : std::uint32_t {
-    Verifier = 0,
-    Kernel,
-    Ipc,
-    Fault,
-    Health,
-    App, //!< harness/bench-defined records
-};
-
-/** What happened (JSONL "code"). Args are code-specific. */
-enum class Code : std::uint32_t {
-    DrainBatch = 0,   //!< arg0 = messages drained, arg1 = channel id
-    Violation,        //!< arg0 = opcode, arg1 = message seq
-    SyscallAck,       //!< arg0 = acks so far for pid
-    SloBreach,        //!< arg0 = lag_ns, arg1 = slo_ns
-    EpochTimeout,     //!< arg0 = waited_ns
-    ProcessKilled,    //!< arg0 = 0
-    SyscallResume,    //!< arg0 = 0
-    FaultInjected,    //!< arg0 = site index, arg1 = injection count
-    HealthTransition, //!< arg0 = from state, arg1 = to state
-    Heartbeat,        //!< arg0 = heartbeat, arg1 = queue depth
-    Custom,           //!< app-defined
-};
-
-const char *subsystemName(Subsystem subsystem);
-const char *codeName(Code code);
-
-/** One flight record; exactly 64 bytes (one cache line). */
+/** One ring record; exactly 64 bytes (one cache line). */
 struct Record
 {
-    std::uint64_t ts_ns = 0;  //!< monotonicRawNs() at record time
-    std::uint64_t seq = 0;    //!< per-thread monotonic record index
-    std::uint64_t pid = 0;    //!< monitored pid (0 = none)
+    std::uint64_t ts_ns = 0; //!< monotonicRawNs() at record time
+    std::uint64_t seq = 0;   //!< per-thread monotonic record index
+    std::uint64_t pid = 0;   //!< monitored pid (0 = none)
+    /// Events: the event's args. Trace: 'X' duration, 'C' value,
+    /// 's'/'f' flow id.
     std::uint64_t arg0 = 0;
     std::uint64_t arg1 = 0;
-    std::uint32_t subsystem = 0; //!< Subsystem
-    std::uint32_t code = 0;      //!< Code
-    std::int32_t shard = -1;     //!< verifier shard (-1 = none)
-    std::uint32_t thread = 0;    //!< recorder slot id (stable per thread)
-    std::uint64_t reserved = 0;  //!< pads the record to one cache line
+    const char *name = nullptr; //!< trace records: the literal name
+    std::uint32_t kind = 0;     //!< events: telemetry::Event
+    std::uint32_t thread = 0;   //!< ring slot id (stable per thread)
+    std::int32_t shard = -1;    //!< verifier shard (-1 = none)
+    char phase = 0;             //!< 0 = event; else a Chrome phase
+    char pad[3] = {};
 };
-static_assert(sizeof(Record) == 64, "flight records are one cache line");
+static_assert(sizeof(Record) == 64, "ring records are one cache line");
+
+/** True for an event record of a known kind (not a trace record). */
+inline bool
+isEventRecord(const Record &record)
+{
+    return record.phase == 0 && record.kind < kEventKinds;
+}
 
 /** Records retained per thread ring (power of two). */
-constexpr std::size_t kRecordsPerThread = 512;
+constexpr std::size_t kRecordsPerThread = 1 << 14;
+/** Newest event records per ring that a flight dump writes. */
+constexpr std::size_t kDumpRecordsPerThread = 512;
 /** Concurrent recording threads tracked; later threads drop records. */
 constexpr std::size_t kMaxThreads = 64;
 
 namespace detail {
-extern std::atomic<bool> g_enabled;
-void record(Subsystem subsystem, Code code, std::uint64_t pid,
-            std::int32_t shard, std::uint64_t arg0, std::uint64_t arg1);
+/** Append `record` to the calling thread's ring (fills seq, thread). */
+void append(Record record);
 } // namespace detail
 
 /** True when the recorder is on (one relaxed load; hot-path safe). */
 inline bool
 enabled()
 {
-    return detail::g_enabled.load(std::memory_order_relaxed);
+    return telemetry::detail::g_sinks.load(std::memory_order_relaxed) &
+           telemetry::detail::kSinkFlight;
 }
 
 /** Turn recording on/off (--flight-recorder flag; tests). */
 void setEnabled(bool on);
-
-/**
- * Append one record to the calling thread's ring. Compiles to a single
- * branch when disabled; never blocks, never allocates after the
- * thread's first record.
- */
-inline void
-record(Subsystem subsystem, Code code, std::uint64_t pid,
-       std::int32_t shard, std::uint64_t arg0 = 0, std::uint64_t arg1 = 0)
-{
-    if (!enabled())
-        return;
-    detail::record(subsystem, code, pid, shard, arg0, arg1);
-}
 
 /**
  * Open (truncate) the JSONL dump file; dumps append to it so one run's
@@ -134,11 +117,9 @@ bool configure(const std::string &path);
 std::string dumpPath();
 
 /**
- * Snapshot every thread ring, merge by timestamp, and append the dump
- * to the configured file: one `flight_header` line (trigger, record
- * count) followed by one `flight_record` line per record. Also emits a
- * `flight_dump` record into the JSONL event log when active, so event
- * streams cross-reference their dumps.
+ * Append one dump to the configured file: one `flight_header` line
+ * (trigger, record count) followed by one `flight_record` line per
+ * snapshot() record, and emit a `flight_dump` event.
  * @return number of records written (0 when no file is configured).
  */
 std::size_t dump(const char *trigger);
@@ -150,8 +131,13 @@ std::size_t dump(const char *trigger);
  */
 void requestDump(const char *trigger);
 
-/** Copy out all live records, merged oldest-first (tests, tools). */
+/** The newest kDumpRecordsPerThread event records of every ring,
+ *  merged oldest-first: what a dump writes. */
 std::vector<Record> snapshot();
+
+/** Every retained record, trace and event, merged oldest-first: what
+ *  the Chrome trace shows. */
+std::vector<Record> snapshotAll();
 
 /**
  * Async-signal-safe dump of every ring to `fd` (same JSONL schema, no
@@ -167,7 +153,13 @@ void dumpSignalSafe(int fd, const char *trigger);
  */
 void installFatalSignalDump();
 
-/** Drop every ring's records and reset per-thread sequence state.
+/** Records written to all rings since the last reset (tests). */
+std::uint64_t recordsWritten();
+
+/** Rings held by a thread now or claimed since the last reset (tests). */
+std::size_t ringsClaimed();
+
+/** Drop every ring's records and the dump rate limit.
  *  Test isolation only — racing recorders may keep stale slots. */
 void resetForTest();
 

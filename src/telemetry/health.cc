@@ -4,9 +4,7 @@
 #include <string>
 
 #include "common/log.h"
-#include "telemetry/event_log.h"
-#include "telemetry/flight_recorder.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/events.h"
 
 namespace hq {
 namespace telemetry {
@@ -33,8 +31,6 @@ HealthMonitor::HealthMonitor(std::size_t num_shards, HealthConfig config,
     _config.stalled_after =
         std::max(_config.degraded_after, _config.stalled_after);
     Registry &registry = Registry::instance();
-    _transitions_metric =
-        &registry.counter("verifier.health_transitions");
     _shards.reserve(num_shards);
     for (std::size_t i = 0; i < num_shards; ++i) {
         auto shard = std::make_unique<ShardHealth>();
@@ -152,7 +148,6 @@ HealthMonitor::publishTransition(std::size_t index, HealthState from,
                                  const ShardHealthSample &sample)
 {
     _transitions.fetch_add(1, std::memory_order_relaxed);
-    _transitions_metric->inc();
 
     const std::string reason =
         std::string(healthStateName(from)) + " -> " +
@@ -162,28 +157,18 @@ HealthMonitor::publishTransition(std::size_t index, HealthState from,
              : " (no drain progress, backlog " +
                    std::to_string(sample.queue_depth) + ")");
 
-    if (EventLog::instance().active()) {
-        EventRecord record;
-        record.type = EventType::HealthChange;
-        record.shard = static_cast<std::int32_t>(index);
-        record.op = healthStateName(to);
-        record.arg0 = sample.heartbeat;
-        record.arg1 = sample.queue_depth;
-        record.reason = reason;
-        EventLog::instance().append(record);
-    }
-    flight::record(flight::Subsystem::Health,
-                   flight::Code::HealthTransition, 0,
-                   static_cast<std::int32_t>(index),
-                   static_cast<std::uint64_t>(from),
-                   static_cast<std::uint64_t>(to));
-
+    emit(to == HealthState::Stalled ? Event::ShardStalled
+                                     : Event::HealthChange,
+         {.shard = static_cast<std::int32_t>(index),
+          .op = healthStateName(to),
+          .arg0 = static_cast<std::uint64_t>(from),
+          .arg1 = static_cast<std::uint64_t>(to),
+          .reason = reason});
     if (to == HealthState::Stalled) {
-        logWarn("health: shard ", index, " STALLED (", reason, ")");
-        // A stalled shard is the flight recorder's marquee trigger:
-        // dump unconditionally (not rate-limited) so the pre-stall
+        // A stalled shard is the flight recorder's marquee trigger: its
+        // table row forces the dump (not rate-limited) so the pre-stall
         // records are preserved even if a fault storm already dumped.
-        flight::dump("shard stalled");
+        logWarn("health: shard ", index, " STALLED (", reason, ")");
     } else {
         logInfo("health: shard ", index, " ", reason);
     }

@@ -44,7 +44,6 @@
 namespace hq {
 namespace telemetry {
 
-class Counter;
 class Gauge;
 
 enum class HealthState : int {
@@ -135,7 +134,6 @@ class HealthMonitor
     HealthConfig _config;
     Sampler _sampler;
     std::vector<std::unique_ptr<ShardHealth>> _shards;
-    Counter *_transitions_metric = nullptr;
 
     mutable std::mutex _sample_mutex;
     std::thread _thread;

@@ -22,24 +22,36 @@ namespace hq {
 namespace telemetry {
 
 namespace detail {
-std::atomic<bool> g_enabled{false};
+std::atomic<std::uint32_t> g_sinks{0};
+
+void
+setSink(std::uint32_t sink, bool on)
+{
+    if (on)
+        g_sinks.fetch_or(sink, std::memory_order_relaxed);
+    else
+        g_sinks.fetch_and(~sink, std::memory_order_relaxed);
+}
 } // namespace detail
 
 void
 setEnabled(bool on)
 {
-    detail::g_enabled.store(on, std::memory_order_relaxed);
+    detail::setSink(detail::kSinkTelemetry, on);
+}
+
+std::uint64_t
+epochRawNs()
+{
+    static const std::uint64_t epoch = monotonicRawNs();
+    return epoch;
 }
 
 std::uint64_t
 nowNs()
 {
-    using Clock = std::chrono::steady_clock;
-    static const Clock::time_point epoch = Clock::now();
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             epoch)
-            .count());
+    const std::uint64_t epoch = epochRawNs();
+    return monotonicRawNs() - epoch;
 }
 
 std::uint64_t
@@ -213,7 +225,8 @@ Registry::Registry()
           "ipc.xproc_full_waits", "ipc.lag_stamp_dropped",
           "fpga.messages", "fpga.dropped",
           "vm.instructions", "vm.instrumentation_ops",
-          "statsboard.publishes", "eventlog.records"}) {
+          "statsboard.publishes", "eventlog.records",
+          "flight.dropped_records"}) {
         _counters.emplace(name, std::make_unique<Counter>());
     }
     for (const char *name : {"ipc.ring_occupancy", "ipc.xproc_occupancy",
@@ -574,7 +587,7 @@ writeJsonFile(const std::string &path)
     if (!out)
         return false;
     out << "{\"metrics\":" << Registry::instance().toJson()
-        << ",\"traceEvents\":" << TraceRecorder::instance().toJson()
+        << ",\"traceEvents\":" << chromeTraceJson()
         << ",\"displayTimeUnit\":\"ns\"}\n";
     return out.good();
 }
@@ -658,7 +671,6 @@ handleBenchArgs(int &argc, char **argv)
     // Materialize the singletons *before* registering the atexit hook,
     // so their (atexit-ordered) destructors run after the flush.
     Registry::instance();
-    TraceRecorder::instance();
     setEnabled(true);
     if (!event_log_path.empty() &&
         !EventLog::instance().open(event_log_path)) {

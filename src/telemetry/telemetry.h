@@ -36,14 +36,23 @@ namespace telemetry {
 // --- Global enable switch --------------------------------------------
 
 namespace detail {
-extern std::atomic<bool> g_enabled;
+/// Every observability sink's on/off switch in one word, so a site that
+/// feeds several sinks (telemetry::emit) still pays one relaxed load.
+enum : std::uint32_t {
+    kSinkTelemetry = 1u << 0, //!< metrics and the Chrome trace
+    kSinkFlight = 1u << 1,    //!< flight-recorder dumps
+    kSinkEventLog = 1u << 2,  //!< JSONL event log open
+};
+extern std::atomic<std::uint32_t> g_sinks;
+void setSink(std::uint32_t sink, bool on);
 } // namespace detail
 
 /** True when telemetry recording is on (relaxed load: hot-path safe). */
 inline bool
 enabled()
 {
-    return detail::g_enabled.load(std::memory_order_relaxed);
+    return detail::g_sinks.load(std::memory_order_relaxed) &
+           detail::kSinkTelemetry;
 }
 
 /** Turn recording on/off (benches: --telemetry-out; tests). */
@@ -51,6 +60,9 @@ void setEnabled(bool on);
 
 /** Monotonic nanoseconds since the process's telemetry epoch. */
 std::uint64_t nowNs();
+
+/** The telemetry epoch on the monotonicRawNs() clock. */
+std::uint64_t epochRawNs();
 
 /**
  * Raw monotonic nanoseconds (no per-process epoch). Comparable across

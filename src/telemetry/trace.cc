@@ -1,152 +1,81 @@
 #include "telemetry/trace.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
+
+#include "telemetry/flight_recorder.h"
 
 namespace hq {
 namespace telemetry {
 
-namespace {
-
-std::size_t
-roundUpPow2(std::size_t value)
-{
-    std::size_t pow2 = 1;
-    while (pow2 < value)
-        pow2 <<= 1;
-    return pow2;
-}
-
-} // namespace
-
-TraceBuffer::TraceBuffer(std::uint32_t tid, std::size_t capacity)
-    : _tid(tid), _mask(roundUpPow2(capacity ? capacity : 1) - 1),
-      _events(_mask + 1)
-{
-}
-
-std::vector<TraceEvent>
-TraceBuffer::snapshot() const
-{
-    const std::uint64_t cursor = _cursor.load(std::memory_order_acquire);
-    const std::uint64_t retained =
-        std::min<std::uint64_t>(cursor, _mask + 1);
-    std::vector<TraceEvent> events;
-    events.reserve(retained);
-    for (std::uint64_t i = cursor - retained; i < cursor; ++i)
-        events.push_back(_events[i & _mask]);
-    return events;
-}
-
-TraceRecorder &
-TraceRecorder::instance()
-{
-    static TraceRecorder recorder;
-    return recorder;
-}
-
-TraceBuffer &
-TraceRecorder::threadBuffer()
-{
-    thread_local std::shared_ptr<TraceBuffer> buffer;
-    if (!buffer) {
-        std::lock_guard<std::mutex> guard(_mutex);
-        buffer = std::make_shared<TraceBuffer>(_next_tid++, _capacity);
-        _buffers.push_back(buffer);
-    }
-    return *buffer;
-}
-
 void
-TraceRecorder::setCapacity(std::size_t events)
+detail::traceRecord(char phase, const char *name, std::uint64_t ts_ns,
+                    std::uint64_t value)
 {
-    std::lock_guard<std::mutex> guard(_mutex);
-    _capacity = events ? events : 1;
+    flight::Record record;
+    record.ts_ns = ts_ns;
+    record.arg0 = value;
+    record.name = name;
+    record.phase = phase;
+    flight::detail::append(record);
 }
 
 std::string
-TraceRecorder::toJson() const
+chromeTraceJson()
 {
-    std::vector<std::shared_ptr<TraceBuffer>> buffers;
-    {
-        std::lock_guard<std::mutex> guard(_mutex);
-        buffers = _buffers;
-    }
-
-    // Merge all per-thread windows, oldest first, so viewers that care
-    // about ordering (and humans reading the file) see one timeline.
-    struct Tagged
-    {
-        TraceEvent event;
-        std::uint32_t tid;
-    };
-    std::vector<Tagged> merged;
-    for (const auto &buffer : buffers) {
-        for (const TraceEvent &event : buffer->snapshot()) {
-            if (event.name)
-                merged.push_back({event, buffer->tid()});
-        }
-    }
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const Tagged &a, const Tagged &b) {
-                         return a.event.ts_ns < b.event.ts_ns;
-                     });
-
+    const std::uint64_t epoch = epochRawNs();
     std::ostringstream os;
     os << "[";
     bool first = true;
     char buf[64];
-    for (const Tagged &tagged : merged) {
-        const TraceEvent &event = tagged.event;
+    for (const flight::Record &r : flight::snapshotAll()) {
+        const char *name = r.name;
+        const char *cat = "hq";
+        char phase = r.phase;
+        if (flight::isEventRecord(r)) {
+            const EventSpec &spec = eventSpec(static_cast<Event>(r.kind));
+            name = spec.ring_name;
+            cat = spec.subsystem;
+            phase = spec.ring == RingAs::Counter ? 'C' : 'i';
+        } else if (phase == 0 || name == nullptr) {
+            continue; // torn or unknown record
+        }
         if (!first)
             os << ",";
         first = false;
-        os << "{\"name\":\"" << event.name << "\",\"cat\":\"hq\",\"ph\":\""
-           << event.phase << "\",\"pid\":1,\"tid\":" << tagged.tid;
+        os << "{\"name\":\"" << name << "\",\"cat\":\"" << cat
+           << "\",\"ph\":\"" << phase << "\",\"pid\":1,\"tid\":"
+           << r.thread;
+        const std::uint64_t ts = r.ts_ns > epoch ? r.ts_ns - epoch : 0;
         std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f",
-                      static_cast<double>(event.ts_ns) / 1000.0);
+                      static_cast<double>(ts) / 1000.0);
         os << buf;
-        if (event.phase == 'X') {
+        if (phase == 'X') {
             std::snprintf(buf, sizeof(buf), ",\"dur\":%.3f",
-                          static_cast<double>(event.dur_ns) / 1000.0);
+                          static_cast<double>(r.arg0) / 1000.0);
             os << buf;
-        } else if (event.phase == 'i') {
+        } else if (phase == 'C') {
+            os << ",\"args\":{\"value\":" << r.arg0 << "}";
+        } else if (phase == 'i') {
             os << ",\"s\":\"t\"";
-        } else if (event.phase == 'C') {
-            os << ",\"args\":{\"value\":" << event.value << "}";
-        } else if (event.phase == 's' || event.phase == 'f') {
+            if (r.phase == 0)
+                os << ",\"args\":{\"pid\":" << r.pid << ",\"shard\":"
+                   << r.shard << ",\"arg0\":" << r.arg0
+                   << ",\"arg1\":" << r.arg1 << "}";
+        } else if (phase == 's' || phase == 'f') {
             // Flow events pair by (cat, name, id); "bp":"e" binds the
             // finish to the enclosing slice, which Perfetto requires to
             // draw the arrow into the verifier's check slice.
             std::snprintf(buf, sizeof(buf), ",\"id\":\"0x%llx\"",
-                          static_cast<unsigned long long>(event.value));
+                          static_cast<unsigned long long>(r.arg0));
             os << buf;
-            if (event.phase == 'f')
+            if (phase == 'f')
                 os << ",\"bp\":\"e\"";
         }
         os << "}";
     }
     os << "]";
     return os.str();
-}
-
-std::uint64_t
-TraceRecorder::totalRecorded() const
-{
-    std::lock_guard<std::mutex> guard(_mutex);
-    std::uint64_t total = 0;
-    for (const auto &buffer : _buffers)
-        total += buffer->recorded();
-    return total;
-}
-
-void
-TraceRecorder::reset()
-{
-    std::lock_guard<std::mutex> guard(_mutex);
-    for (const auto &buffer : _buffers)
-        buffer->reset();
 }
 
 } // namespace telemetry

@@ -1,121 +1,48 @@
 /**
  * @file
- * Lock-free per-thread trace recorder producing Chrome trace_event JSON
- * (load in chrome://tracing or https://ui.perfetto.dev).
+ * Trace hooks producing Chrome trace_event JSON (load in
+ * chrome://tracing or https://ui.perfetto.dev).
  *
- * Each thread owns a fixed-capacity ring of timestamped events and is
- * its only writer, mirroring the SPSC discipline of src/ipc/spsc_ring.h
- * (one AMR per writer core, single reader): recording is a slot write
- * plus a release store of the cursor, with no locks and no allocation.
- * When the ring wraps, the oldest events are overwritten — a trace is a
- * window onto the tail of the run, never a source of back-pressure.
+ * Each hook writes one 64-byte record into the calling thread's record
+ * ring (telemetry/flight_recorder.h), the same ring that holds the
+ * event records of telemetry::emit(); chromeTraceJson() exports the
+ * whole ring. Hooks write only while telemetry::enabled(): disabled,
+ * each is one relaxed load + branch. When a ring wraps, the oldest
+ * records are overwritten — a trace is a window onto the tail of the
+ * run, never a source of back-pressure.
  *
- * Event names must be string literals (or otherwise outlive the
- * recorder): the ring stores the pointer, not a copy.
+ * Names must be string literals (or otherwise outlive the ring): the
+ * ring stores the pointer, not a copy.
  */
 
 #ifndef HQ_TELEMETRY_TRACE_H
 #define HQ_TELEMETRY_TRACE_H
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "telemetry/telemetry.h"
 
 namespace hq {
 namespace telemetry {
 
-/** One recorded event (Chrome trace_event phases X / i / C / s / f). */
-struct TraceEvent
-{
-    const char *name = nullptr;
-    char phase = 'X';         //!< 'X' complete, 'i' instant, 'C' counter,
-                              //!< 's'/'f' flow begin/end
-    std::uint64_t ts_ns = 0;  //!< start timestamp (nowNs())
-    std::uint64_t dur_ns = 0; //!< duration ('X' only)
-    std::uint64_t value = 0;  //!< counter value ('C'), flow id ('s'/'f')
-};
-
-/** Fixed-capacity single-writer event ring; capacity is a power of 2. */
-class TraceBuffer
-{
-  public:
-    TraceBuffer(std::uint32_t tid, std::size_t capacity);
-
-    /** Append one event; wraps over the oldest when full. Owner only. */
-    void
-    emit(const TraceEvent &event)
-    {
-        const std::uint64_t cursor =
-            _cursor.load(std::memory_order_relaxed);
-        _events[cursor & _mask] = event;
-        _cursor.store(cursor + 1, std::memory_order_release);
-    }
-
-    std::uint32_t tid() const { return _tid; }
-
-    /** Events recorded since construction (not capped by capacity). */
-    std::uint64_t recorded() const
-    {
-        return _cursor.load(std::memory_order_acquire);
-    }
-
-    /** Oldest-first snapshot of the retained window. */
-    std::vector<TraceEvent> snapshot() const;
-
-    void reset() { _cursor.store(0, std::memory_order_release); }
-
-  private:
-    std::uint32_t _tid;
-    std::uint64_t _mask;
-    std::vector<TraceEvent> _events;
-    alignas(64) std::atomic<std::uint64_t> _cursor{0};
-};
+namespace detail {
+/** Append one trace record (Chrome phase X / i / C / s / f). */
+void traceRecord(char phase, const char *name, std::uint64_t ts_ns,
+                 std::uint64_t value);
+} // namespace detail
 
 /**
- * Owner of all per-thread trace buffers. threadBuffer() hands each
- * calling thread its own ring (created on first use and kept alive for
- * the process, so late dumps never race thread exit).
+ * Every retained ring record as a Chrome trace_event JSON array, oldest
+ * first. Event records become instants (or counter tracks, per their
+ * event-table row). Timestamps are microseconds since the telemetry
+ * epoch ("ts"/"dur" fields) as the format requires.
  */
-class TraceRecorder
-{
-  public:
-    static TraceRecorder &instance();
-
-    /** The calling thread's ring (thread_local lookup). */
-    TraceBuffer &threadBuffer();
-
-    /** Per-thread ring capacity for rings created after this call. */
-    void setCapacity(std::size_t events);
-
-    /**
-     * All retained events from all threads as a Chrome trace_event JSON
-     * array, oldest first. Timestamps are microseconds ("ts"/"dur"
-     * fields) as the format requires.
-     */
-    std::string toJson() const;
-
-    /** Total events recorded (including overwritten ones). */
-    std::uint64_t totalRecorded() const;
-
-    /** Drop retained events in every ring. Tests. */
-    void reset();
-
-  private:
-    TraceRecorder() = default;
-
-    mutable std::mutex _mutex;
-    std::vector<std::shared_ptr<TraceBuffer>> _buffers;
-    std::size_t _capacity = 1 << 14;
-    std::uint32_t _next_tid = 1;
-};
+std::string chromeTraceJson();
 
 /**
  * RAII complete-event ('X') scope. Inert when telemetry is disabled at
- * construction: no clock read, no buffer lookup.
+ * construction: no clock read, no ring write.
  */
 class TraceScope
 {
@@ -123,7 +50,7 @@ class TraceScope
     /** @param name string literal naming the scope. */
     explicit TraceScope(const char *name)
         : _name(enabled() ? name : nullptr),
-          _start(_name ? nowNs() : 0)
+          _start(_name ? monotonicRawNs() : 0)
     {
     }
 
@@ -132,14 +59,9 @@ class TraceScope
 
     ~TraceScope()
     {
-        if (!_name)
-            return;
-        TraceEvent event;
-        event.name = _name;
-        event.phase = 'X';
-        event.ts_ns = _start;
-        event.dur_ns = nowNs() - _start;
-        TraceRecorder::instance().threadBuffer().emit(event);
+        if (_name)
+            detail::traceRecord('X', _name, _start,
+                                monotonicRawNs() - _start);
     }
 
   private:
@@ -151,27 +73,16 @@ class TraceScope
 inline void
 traceInstant(const char *name)
 {
-    if (!enabled())
-        return;
-    TraceEvent event;
-    event.name = name;
-    event.phase = 'i';
-    event.ts_ns = nowNs();
-    TraceRecorder::instance().threadBuffer().emit(event);
+    if (enabled())
+        detail::traceRecord('i', name, monotonicRawNs(), 0);
 }
 
 /** Record a counter sample (stacked area track in the trace viewer). */
 inline void
 traceCounter(const char *name, std::uint64_t value)
 {
-    if (!enabled())
-        return;
-    TraceEvent event;
-    event.name = name;
-    event.phase = 'C';
-    event.ts_ns = nowNs();
-    event.value = value;
-    TraceRecorder::instance().threadBuffer().emit(event);
+    if (enabled())
+        detail::traceRecord('C', name, monotonicRawNs(), value);
 }
 
 /**
@@ -184,28 +95,16 @@ traceCounter(const char *name, std::uint64_t value)
 inline void
 traceFlowBegin(const char *name, std::uint64_t id)
 {
-    if (!enabled())
-        return;
-    TraceEvent event;
-    event.name = name;
-    event.phase = 's';
-    event.ts_ns = nowNs();
-    event.value = id;
-    TraceRecorder::instance().threadBuffer().emit(event);
+    if (enabled())
+        detail::traceRecord('s', name, monotonicRawNs(), id);
 }
 
 /** End a flow begun by traceFlowBegin(name, id) on another thread. */
 inline void
 traceFlowEnd(const char *name, std::uint64_t id)
 {
-    if (!enabled())
-        return;
-    TraceEvent event;
-    event.name = name;
-    event.phase = 'f';
-    event.ts_ns = nowNs();
-    event.value = id;
-    TraceRecorder::instance().threadBuffer().emit(event);
+    if (enabled())
+        detail::traceRecord('f', name, monotonicRawNs(), id);
 }
 
 } // namespace telemetry

@@ -6,8 +6,7 @@
 
 #include "common/log.h"
 #include "faultinject/fault.h"
-#include "telemetry/flight_recorder.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/events.h"
 #include "telemetry/trace.h"
 
 namespace hq {
@@ -20,12 +19,9 @@ namespace {
 // resolved once at construction (Verifier::Verifier).
 HQ_TELEMETRY_HANDLE(msgLatencyHist, Histogram, "verifier.msg_latency_ns")
 HQ_TELEMETRY_HANDLE(messagesCounter, Counter, "verifier.messages")
-HQ_TELEMETRY_HANDLE(violationsCounter, Counter, "verifier.violations")
-HQ_TELEMETRY_HANDLE(syscallAcksCounter, Counter, "verifier.syscall_acks")
 HQ_TELEMETRY_HANDLE(policyEntriesGauge, Gauge, "verifier.policy_entries")
 HQ_TELEMETRY_HANDLE(idleSleepsCounter, Counter, "verifier.idle_sleeps")
 HQ_TELEMETRY_HANDLE(lagHist, Histogram, "verifier.lag_ns")
-HQ_TELEMETRY_HANDLE(lagSloBreaches, Counter, "verifier.lag_slo_breaches")
 HQ_TELEMETRY_HANDLE(lagHighWater, Gauge, "verifier.lag_high_water_ns")
 // Async-ack pipeline: total acks delivered through coalesced
 // syscallResumeBatch flushes, queue-to-flush latency per ack message
@@ -390,11 +386,8 @@ Verifier::pollShard(std::size_t shard_index)
         if (_crashed.load(std::memory_order_relaxed))
             break;
     }
-    if (processed > 0) {
+    if (processed > 0)
         _total_messages.fetch_add(processed, std::memory_order_relaxed);
-        if (telemetry::enabled())
-            telemetry::traceCounter("verifier.batch_msgs", processed);
-    }
     return processed;
 }
 
@@ -492,11 +485,11 @@ Verifier::processBatch(Shard &shard, ChannelEntry &entry,
     if (telemetry_on)
         recordBatchLag(shard, entry, n, lag_ns);
 
-    telemetry::flight::record(
-        telemetry::flight::Subsystem::Verifier,
-        telemetry::flight::Code::DrainBatch, entry.owner,
-        static_cast<std::int32_t>(shard.index), n,
-        entry.channel->channelId());
+    telemetry::emit(telemetry::Event::DrainBatch,
+                    {.pid = entry.owner,
+                     .shard = static_cast<std::int32_t>(shard.index),
+                     .arg0 = n,
+                     .arg1 = entry.channel->channelId()});
 
     {
         // The memo holds the pid's home-shard state lock for the
@@ -544,7 +537,7 @@ Verifier::recordFrameCorruption(ChannelEntry &entry, const char *reason)
     if (owner == nullptr || owner->exited)
         return;
     recordViolation(memo.home_shard, entry.owner, *owner, reason,
-                    Message{}, telemetry::EventType::CorruptMsg, kNoLag);
+                    Message{}, telemetry::Event::CorruptMsg, kNoLag);
 }
 
 void
@@ -576,13 +569,11 @@ Verifier::recordBatchLag(Shard &shard, ChannelEntry &entry, std::size_t n,
         entry.pid_lag->record(lag);
         lagHighWater().set(lag); // Gauge keeps the high-water mark
         if (_config.lag_slo_ns != 0 && lag > _config.lag_slo_ns) {
-            lagSloBreaches().inc();
-            telemetry::flight::record(
-                telemetry::flight::Subsystem::Verifier,
-                telemetry::flight::Code::SloBreach, entry.owner,
-                static_cast<std::int32_t>(shard.index), lag,
-                _config.lag_slo_ns);
-            telemetry::flight::requestDump("slo breach");
+            telemetry::emit(telemetry::Event::SloBreach,
+                            {.pid = entry.owner,
+                             .shard = static_cast<std::int32_t>(shard.index),
+                             .arg0 = lag,
+                             .arg1 = _config.lag_slo_ns});
         }
         // Close the Perfetto flow opened by Channel::send; "bp":"e"
         // binds the arrow head into the enclosing check_batch slice.
@@ -595,46 +586,29 @@ Verifier::recordViolation(std::size_t home_shard, Pid pid,
                           ProcessEntry &process,
                           const std::string &reason,
                           const Message &message,
-                          telemetry::EventType event_type,
+                          telemetry::Event event,
                           std::uint64_t lag_ns)
 {
     process.violated = true;
     ++process.stats.violations;
-    if (telemetry::enabled()) {
-        violationsCounter().inc();
+    if (telemetry::enabled())
         _shards[home_shard]->violations_metric->inc();
-        telemetry::traceInstant("verifier.violation");
-    }
-    if (telemetry::EventLog::instance().active()) {
-        telemetry::EventRecord record;
-        record.type = event_type;
-        record.pid = pid;
-        record.shard = static_cast<std::int32_t>(home_shard);
-        // Policy-family attribution: a policy verdict carries the
-        // family of the context (module) that raised it; transport
-        // integrity failures (CRC, seq gaps) are not any policy's
-        // verdict and tag as "transport".
-        if (event_type == telemetry::EventType::Violation) {
-            record.policy =
-                process.context ? process.context->violationFamily() : "";
-        } else if (event_type == telemetry::EventType::CorruptMsg ||
-                   event_type == telemetry::EventType::SeqGap) {
-            record.policy = "transport";
-        }
-        record.op = opcodeName(message.op);
-        record.arg0 = message.arg0;
-        record.arg1 = message.arg1;
-        record.seq = message.seq;
-        record.lag_ns = lag_ns == kNoLag ? 0 : lag_ns;
-        record.reason = reason;
-        telemetry::EventLog::instance().append(record);
-    }
-    telemetry::flight::record(
-        telemetry::flight::Subsystem::Verifier,
-        telemetry::flight::Code::Violation, pid,
-        static_cast<std::int32_t>(home_shard),
-        static_cast<std::uint64_t>(message.op), message.seq);
-    telemetry::flight::requestDump("violation");
+    // Policy-family attribution: a policy verdict carries the family of
+    // the context (module) that raised it; transport integrity failures
+    // (CRC, seq gaps) are not any policy's verdict.
+    const char *policy = "transport";
+    if (event == telemetry::Event::Violation)
+        policy = process.context ? process.context->violationFamily() : "";
+    telemetry::emit(event,
+                    {.pid = pid,
+                     .shard = static_cast<std::int32_t>(home_shard),
+                     .policy = policy,
+                     .op = opcodeName(message.op),
+                     .arg0 = message.arg0,
+                     .arg1 = message.arg1,
+                     .seq = message.seq,
+                     .lag_ns = lag_ns == kNoLag ? 0 : lag_ns,
+                     .reason = reason});
     logDebug("verifier: violation for pid ", pid, ": ", reason);
     if (_config.kill_on_violation)
         _kernel.killProcess(pid, reason);
@@ -695,7 +669,7 @@ Verifier::handleMessage(Shard &shard, ChannelEntry &entry,
         if (owner != nullptr && !owner->exited) {
             recordViolation(memo.home_shard, entry.owner, *owner,
                             "message corruption detected (CRC mismatch)",
-                            message, telemetry::EventType::CorruptMsg,
+                            message, telemetry::Event::CorruptMsg,
                             lag_ns);
         }
         return;
@@ -728,7 +702,7 @@ Verifier::handleMessage(Shard &shard, ChannelEntry &entry,
             message.seq != entry.expected_seq) {
             recordViolation(memo.home_shard, pid, process,
                             "message sequence gap: integrity violated",
-                            message, telemetry::EventType::SeqGap,
+                            message, telemetry::Event::SeqGap,
                             lag_ns);
         }
         entry.seq_started = true;
@@ -738,7 +712,7 @@ Verifier::handleMessage(Shard &shard, ChannelEntry &entry,
     const Status status = process.context->handleMessage(message);
     if (!status.isOk())
         recordViolation(memo.home_shard, pid, process, status.message(),
-                        message, telemetry::EventType::Violation,
+                        message, telemetry::Event::Violation,
                         lag_ns);
 
     process.stats.max_entries =
@@ -752,15 +726,13 @@ Verifier::handleMessage(Shard &shard, ChannelEntry &entry,
         // one syscallResumeBatch per drain round (flushAcks).
         if (!(process.violated && _config.kill_on_violation)) {
             ++process.stats.syscall_acks;
-            if (telemetry::enabled()) {
-                syscallAcksCounter().inc();
+            if (telemetry::enabled())
                 _shards[memo.home_shard]->syscall_acks_metric->inc();
-            }
-            telemetry::flight::record(
-                telemetry::flight::Subsystem::Verifier,
-                telemetry::flight::Code::SyscallAck, pid,
-                static_cast<std::int32_t>(memo.home_shard),
-                process.stats.syscall_acks);
+            telemetry::emit(
+                telemetry::Event::SyscallAck,
+                {.pid = pid,
+                 .shard = static_cast<std::int32_t>(memo.home_shard),
+                 .arg0 = process.stats.syscall_acks});
             queueAck(shard, pid);
         }
     }
@@ -814,12 +786,11 @@ Verifier::flushAcks(Shard &shard)
                 const std::uint64_t lat = now > queued ? now - queued : 0;
                 ackLatencyHist().record(lat);
                 if (_config.lag_slo_ns != 0 && lat > _config.lag_slo_ns) {
-                    lagSloBreaches().inc();
-                    telemetry::flight::record(
-                        telemetry::flight::Subsystem::Verifier,
-                        telemetry::flight::Code::SloBreach, 0,
-                        static_cast<std::int32_t>(shard.index), lat,
-                        _config.lag_slo_ns);
+                    telemetry::emit(
+                        telemetry::Event::SloBreach,
+                        {.shard = static_cast<std::int32_t>(shard.index),
+                         .arg0 = lat,
+                         .arg1 = _config.lag_slo_ns});
                 }
             }
         }

@@ -43,7 +43,7 @@
 #include "ipc/channel.h"
 #include "kernel/kernel.h"
 #include "policy/policy.h"
-#include "telemetry/event_log.h"
+#include "telemetry/events.h"
 #include "telemetry/health.h"
 #include "telemetry/telemetry.h"
 #include "verifier/shard.h"
@@ -435,7 +435,7 @@ class Verifier : public ProcessEventListener
     void recordViolation(std::size_t home_shard, Pid pid,
                          ProcessEntry &process, const std::string &reason,
                          const Message &message,
-                         telemetry::EventType event_type,
+                         telemetry::Event event,
                          std::uint64_t lag_ns);
     /// Match lag-sidecar envelopes for the batch just drained from
     /// `entry`, filling lag_ns[0..n) (kNoLag when unmatched) and

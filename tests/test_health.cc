@@ -4,7 +4,8 @@
  *  - HealthMonitor state machine against a scripted sampler (OK →
  *    DEGRADED → STALLED → OK, idle-shard exemption, threshold clamps).
  *  - Flight recorder: ring wrap, multi-thread capture, dump format,
- *    request rate-limiting, disabled-mode inertness.
+ *    request rate-limiting, disabled-mode inertness, records dropped
+ *    past the last ring, one dump behaviour for both SLO-breach paths.
  *  - End-to-end: a fault-injected drain-loop wedge drives one shard to
  *    STALLED, emitting a `health_change` event record and a flight dump
  *    holding pre-stall records, with zero silent accepts.
@@ -32,11 +33,13 @@
 #include "telemetry/flight_recorder.h"
 #include "telemetry/health.h"
 #include "telemetry/telemetry.h"
+#include "telemetry/trace.h"
 #include "verifier/verifier.h"
 
 namespace hq {
 namespace {
 
+using telemetry::Event;
 using telemetry::HealthConfig;
 using telemetry::HealthMonitor;
 using telemetry::HealthState;
@@ -247,28 +250,36 @@ TEST(FlightRecorder, DisabledRecordsNothing)
 {
     FlightSandbox sandbox;
     flight::setEnabled(false);
-    flight::record(flight::Subsystem::App, flight::Code::Custom, 1, -1);
+    telemetry::setEnabled(false);
+    const std::size_t claimed = flight::ringsClaimed();
+    telemetry::emit(Event::DrainBatch, {.pid = 1});
+    telemetry::emit(Event::Violation, {.pid = 1});
+    {
+        telemetry::TraceScope scope("invisible");
+        telemetry::traceInstant("invisible");
+    }
     EXPECT_TRUE(flight::snapshot().empty());
+    // No ring is claimed or written while both switches are off.
+    EXPECT_EQ(flight::recordsWritten(), 0u);
+    EXPECT_EQ(flight::ringsClaimed(), claimed);
 }
 
 TEST(FlightRecorder, RecordsCarryFieldsInOrder)
 {
     FlightSandbox sandbox;
     flight::setEnabled(true);
-    flight::record(flight::Subsystem::Verifier, flight::Code::DrainBatch,
-                   42, 3, 64, 7);
-    flight::record(flight::Subsystem::Kernel,
-                   flight::Code::SyscallResume, 42, -1);
+    telemetry::emit(Event::DrainBatch,
+                    {.pid = 42, .shard = 3, .arg0 = 64, .arg1 = 7});
+    telemetry::emit(Event::SyscallResume, {.pid = 42});
     const std::vector<flight::Record> records = flight::snapshot();
     ASSERT_EQ(records.size(), 2u);
     EXPECT_EQ(records[0].pid, 42u);
     EXPECT_EQ(records[0].shard, 3);
     EXPECT_EQ(records[0].arg0, 64u);
     EXPECT_EQ(records[0].arg1, 7u);
-    EXPECT_EQ(static_cast<flight::Subsystem>(records[0].subsystem),
-              flight::Subsystem::Verifier);
-    EXPECT_EQ(static_cast<flight::Code>(records[1].code),
-              flight::Code::SyscallResume);
+    EXPECT_EQ(static_cast<Event>(records[0].kind), Event::DrainBatch);
+    EXPECT_EQ(static_cast<Event>(records[1].kind), Event::SyscallResume);
+    EXPECT_EQ(records[1].shard, -1);
     EXPECT_LE(records[0].ts_ns, records[1].ts_ns);
     EXPECT_LT(records[0].seq, records[1].seq);
 }
@@ -279,16 +290,16 @@ TEST(FlightRecorder, RingKeepsOnlyTheLastN)
     flight::setEnabled(true);
     const std::size_t total = flight::kRecordsPerThread + 100;
     for (std::size_t i = 0; i < total; ++i)
-        flight::record(flight::Subsystem::App, flight::Code::Custom, 0,
-                       -1, i);
-    std::vector<flight::Record> mine;
-    for (const flight::Record &r : flight::snapshot()) {
-        if (static_cast<flight::Code>(r.code) == flight::Code::Custom)
-            mine.push_back(r);
-    }
-    ASSERT_EQ(mine.size(), flight::kRecordsPerThread);
-    // Oldest surviving record is the (total - N)th; newest is the last.
-    EXPECT_EQ(mine.front().arg0, 100u);
+        telemetry::emit(Event::DrainBatch, {.arg0 = i});
+    // The ring keeps the newest kRecordsPerThread records...
+    const std::vector<flight::Record> all = flight::snapshotAll();
+    ASSERT_EQ(all.size(), flight::kRecordsPerThread);
+    EXPECT_EQ(all.front().arg0, 100u);
+    EXPECT_EQ(all.back().arg0, total - 1);
+    // ...and a dump takes the newest kDumpRecordsPerThread of them.
+    const std::vector<flight::Record> mine = flight::snapshot();
+    ASSERT_EQ(mine.size(), flight::kDumpRecordsPerThread);
+    EXPECT_EQ(mine.front().arg0, total - flight::kDumpRecordsPerThread);
     EXPECT_EQ(mine.back().arg0, total - 1);
 }
 
@@ -302,17 +313,16 @@ TEST(FlightRecorder, ThreadsGetDistinctSlots)
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([t] {
             for (int i = 0; i < kPerThread; ++i)
-                flight::record(flight::Subsystem::App,
-                               flight::Code::Custom,
-                               static_cast<std::uint64_t>(t), -1,
-                               static_cast<std::uint64_t>(i));
+                telemetry::emit(Event::DrainBatch,
+                                {.pid = static_cast<Pid>(t),
+                                 .arg0 = static_cast<std::uint64_t>(i)});
         });
     }
     for (auto &thread : threads)
         thread.join();
     std::size_t custom = 0;
     for (const flight::Record &r : flight::snapshot()) {
-        if (static_cast<flight::Code>(r.code) == flight::Code::Custom)
+        if (static_cast<Event>(r.kind) == Event::DrainBatch)
             ++custom;
     }
     // No record may be lost to a slot collision (4 threads << 64 slots;
@@ -327,8 +337,7 @@ TEST(FlightRecorder, DumpWritesHeaderAndRecords)
     const std::string path = "flight_dump_test.jsonl";
     ASSERT_TRUE(flight::configure(path));
     flight::setEnabled(true);
-    flight::record(flight::Subsystem::Health,
-                   flight::Code::HealthTransition, 0, 2, 0, 2);
+    telemetry::emit(Event::HealthChange, {.shard = 2, .arg1 = 2});
     const std::size_t written = flight::dump("unit test");
     EXPECT_GE(written, 1u);
 
@@ -349,7 +358,7 @@ TEST(FlightRecorder, RequestDumpIsRateLimited)
     const std::string path = "flight_ratelimit_test.jsonl";
     ASSERT_TRUE(flight::configure(path));
     flight::setEnabled(true);
-    flight::record(flight::Subsystem::App, flight::Code::Custom, 0, -1);
+    telemetry::emit(Event::DrainBatch);
     for (int i = 0; i < 10; ++i)
         flight::requestDump("storm");
     const std::string text = readFile(path);
@@ -363,8 +372,7 @@ TEST(FlightRecorder, SignalSafeDumpMatchesSchema)
 {
     FlightSandbox sandbox;
     flight::setEnabled(true);
-    flight::record(flight::Subsystem::App, flight::Code::Custom, 9, -1,
-                   1, 2);
+    telemetry::emit(Event::DrainBatch, {.pid = 9, .arg0 = 1, .arg1 = 2});
     const std::string path = "flight_sigsafe_test.jsonl";
     const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC,
                           0644);
@@ -377,6 +385,101 @@ TEST(FlightRecorder, SignalSafeDumpMatchesSchema)
     EXPECT_NE(text.find("\"trigger\":\"fatal signal\""),
               std::string::npos);
     std::remove(path.c_str());
+}
+
+TEST(FlightRecorder, RecordsPastTheLastRingAreCounted)
+{
+    FlightSandbox sandbox;
+    flight::setEnabled(true);
+    telemetry::Counter &dropped = telemetry::Registry::instance().counter(
+        "flight.dropped_records");
+    const std::uint64_t before = dropped.value();
+
+    // One thread more than there are rings, every one holding its ring
+    // until all have recorded: at least one finds none left.
+    constexpr std::size_t kThreads = flight::kMaxThreads + 1;
+    std::atomic<std::size_t> recorded{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&recorded] {
+            telemetry::emit(Event::DrainBatch);
+            recorded.fetch_add(1);
+            while (recorded.load() < kThreads)
+                std::this_thread::yield();
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+
+    EXPECT_GE(dropped.value(), before + 1);
+    EXPECT_LE(flight::ringsClaimed(), flight::kMaxThreads);
+    // The counter reaches both exporters.
+    EXPECT_NE(telemetry::Registry::instance().toJson().find(
+                  "\"flight.dropped_records\""),
+              std::string::npos);
+    EXPECT_NE(telemetry::Registry::instance().toPrometheus().find(
+                  "hq_flight_dropped_records_total"),
+              std::string::npos);
+}
+
+TEST(FlightRecorder, BothSloBreachPathsRecordAndDumpAlike)
+{
+    // Verification lag and ack latency feed one SLO: one table row, so
+    // the same record and the same rate-limited dump from either path.
+    for (const bool ack_path : {false, true}) {
+        SCOPED_TRACE(ack_path ? "ack latency" : "verification lag");
+        FlightSandbox sandbox;
+        const std::string path = "flight_slo_test.jsonl";
+        ASSERT_TRUE(flight::configure(path));
+        telemetry::Counter &breaches_metric =
+            telemetry::Registry::instance().counter(
+                "verifier.lag_slo_breaches");
+        const std::uint64_t breaches_before = breaches_metric.value();
+
+        KernelModule kernel;
+        Verifier::Config config;
+        config.kill_on_violation = false;
+        config.num_shards = 1;
+        config.lag_slo_ns = 1; // every measured latency breaches
+        Verifier verifier(kernel, std::make_shared<PointerIntegrityPolicy>(),
+                          config);
+        const Pid pid = 77;
+        ShmChannel channel(1 << 8);
+        kernel.enableProcess(pid);
+        verifier.attachChannel(&channel, pid);
+
+        // Sends stamp lag envelopes only while telemetry is on, so the
+        // System-Call message sent with it off breaches on its ack only.
+        telemetry::setEnabled(!ack_path);
+        if (ack_path)
+            channel.send(Message(Opcode::Syscall, 1));
+        else
+            channel.send(Message(Opcode::PointerDefine, 0x10, 0x20));
+        telemetry::setEnabled(true);
+        flight::setEnabled(true);
+        ASSERT_EQ(verifier.poll(), 1u);
+        flight::setEnabled(false);
+        telemetry::setEnabled(false);
+        flight::configure("");
+
+        std::size_t breaches = 0;
+        for (const flight::Record &r : flight::snapshot()) {
+            if (static_cast<Event>(r.kind) != Event::SloBreach)
+                continue;
+            ++breaches;
+            EXPECT_EQ(r.shard, 0);
+            EXPECT_GE(r.arg0, 1u);
+            EXPECT_EQ(r.arg1, 1u);
+        }
+        EXPECT_EQ(breaches, 1u);
+        EXPECT_EQ(breaches_metric.value(), breaches_before + 1);
+        const std::string text = readFile(path);
+        EXPECT_EQ(countLines(text, "\"type\":\"flight_header\""), 1u);
+        EXPECT_NE(text.find("\"trigger\":\"slo_breach\""),
+                  std::string::npos);
+        EXPECT_EQ(countLines(text, "\"code\":\"slo_breach\""), 1u);
+        std::remove(path.c_str());
+    }
 }
 
 // ---------------------------------------------------------------------

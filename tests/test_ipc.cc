@@ -437,6 +437,20 @@ TEST_P(ChannelConformance, PeekConsumeContract)
     EXPECT_FALSE(channel->tryPeekSpan(span));
 }
 
+TEST_P(ChannelConformance, PendingCountsEveryQueuedMessage)
+{
+    if (GetParam() == ChannelKind::PosixMq && !MqChannel::supported())
+        GTEST_SKIP() << "POSIX message queues unavailable on this host";
+
+    // Queue depth feeds the health watchdog; every kind must count all
+    // queued messages, not just the next one.
+    auto channel = makeChannel(GetParam(), 64);
+    constexpr std::size_t kCount = 5;
+    for (std::size_t i = 0; i < kCount; ++i)
+        ASSERT_TRUE(channel->send(Message(Opcode::EventCount, i)).isOk());
+    EXPECT_EQ(channel->pending(), kCount);
+}
+
 TEST_P(ChannelConformance, TraitsAreDeclared)
 {
     if (GetParam() == ChannelKind::PosixMq && !MqChannel::supported())

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <string>
@@ -23,6 +24,7 @@
 #include "kernel/kernel.h"
 #include "policy/pointer_integrity.h"
 #include "telemetry/event_log.h"
+#include "telemetry/flight_recorder.h"
 #include "telemetry/lag.h"
 #include "telemetry/statsboard.h"
 #include "telemetry/telemetry.h"
@@ -40,7 +42,8 @@ using telemetry::Registry;
 using telemetry::StatsBoardReader;
 using telemetry::StatsBoardSnapshot;
 using telemetry::StatsBoardWriter;
-using telemetry::TraceRecorder;
+namespace flight = telemetry::flight;
+using telemetry::Event;
 
 /** Scoped enable: telemetry on for the test, restored after. */
 struct TelemetryOn
@@ -48,7 +51,7 @@ struct TelemetryOn
     TelemetryOn()
     {
         Registry::instance().reset();
-        TraceRecorder::instance().reset();
+        flight::resetForTest();
         telemetry::setEnabled(true);
     }
     ~TelemetryOn() { telemetry::setEnabled(false); }
@@ -274,19 +277,23 @@ flowEvents(const std::string &json)
 TEST(TraceFlows, BeginEndIdsPairUpAfterRingWrap)
 {
     TelemetryOn on;
-    constexpr std::size_t kCapacity = 256;
-    constexpr std::uint64_t kFlows = 2000; // >> capacity: forces wrap
-    TraceRecorder::instance().setCapacity(kCapacity);
+    constexpr std::size_t kCapacity = flight::kRecordsPerThread;
+    constexpr std::uint64_t kFlows = kCapacity + 2000; // forces wrap
 
     // Producer/consumer handoff mirroring send -> verifier: the
-    // consumer only closes flows the producer has opened. Fresh
-    // threads get fresh rings at the reduced capacity.
+    // consumer only closes flows the producer has opened. Each thread
+    // writes only flow records into its own ring, and the producer
+    // keeps its ring until the consumer is done (an exited thread's
+    // ring goes to the next thread that records).
     std::atomic<std::uint64_t> produced{0};
+    std::atomic<bool> consumed{false};
     std::thread producer([&] {
         for (std::uint64_t id = 0; id < kFlows; ++id) {
             telemetry::traceFlowBegin("lag", id);
             produced.store(id + 1, std::memory_order_release);
         }
+        while (!consumed.load(std::memory_order_acquire))
+            std::this_thread::yield();
     });
     std::thread consumer([&] {
         std::uint64_t next = 0;
@@ -298,12 +305,12 @@ TEST(TraceFlows, BeginEndIdsPairUpAfterRingWrap)
                 std::this_thread::yield();
             }
         }
+        consumed.store(true, std::memory_order_release);
     });
     producer.join();
     consumer.join();
 
-    const std::string json = TraceRecorder::instance().toJson();
-    TraceRecorder::instance().setCapacity(1 << 14); // restore default
+    const std::string json = telemetry::chromeTraceJson();
 
     std::set<std::uint64_t> begins;
     std::set<std::uint64_t> ends;
@@ -317,6 +324,41 @@ TEST(TraceFlows, BeginEndIdsPairUpAfterRingWrap)
     EXPECT_EQ(begins, ends);
     EXPECT_TRUE(begins.count(kFlows - 1));
     EXPECT_FALSE(begins.count(0)); // the oldest flows were overwritten
+}
+
+TEST(TraceFlows, ShortLivedThreadsRecycleRingsAndFlowsStillPair)
+{
+    TelemetryOn on;
+    constexpr std::uint64_t kThreads = 200;
+    // Short-lived senders, one after another, each opening one lag flow
+    // inside its span; this thread closes it, as the verifier would.
+    for (std::uint64_t id = 0; id < kThreads; ++id) {
+        std::thread sender([id] {
+            telemetry::TraceScope scope("churn.send");
+            telemetry::traceFlowBegin("lag", id);
+        });
+        sender.join();
+        ASSERT_LE(flight::ringsClaimed(), flight::kMaxThreads);
+        telemetry::TraceScope scope("churn.check");
+        telemetry::traceFlowEnd("lag", id);
+    }
+    // A finished thread hands its ring to the next one: this thread's
+    // ring plus the one every sender reused.
+    EXPECT_LE(flight::ringsClaimed(), 2u);
+
+    const std::string json = telemetry::chromeTraceJson();
+    std::set<std::uint64_t> begins;
+    std::set<std::uint64_t> ends;
+    for (const auto &[phase, id] : flowEvents(json))
+        (phase == 's' ? begins : ends).insert(id);
+    EXPECT_EQ(begins.size(), kThreads);
+    EXPECT_EQ(begins, ends);
+    std::size_t spans = 0;
+    for (std::size_t pos = json.find("\"name\":\"churn.send\"");
+         pos != std::string::npos;
+         pos = json.find("\"name\":\"churn.send\"", pos + 1))
+        ++spans;
+    EXPECT_EQ(spans, kThreads); // no sender lost its records
 }
 
 // ---------------------------------------------------------------------
@@ -585,25 +627,19 @@ TEST(EventLog, JsonlRecordsMatchGoldenSchema)
         "/tmp/hq_event_log_test_" + std::to_string(::getpid()) + ".jsonl";
     ASSERT_TRUE(log.open(path));
 
-    telemetry::EventRecord violation;
-    violation.type = telemetry::EventType::Violation;
-    violation.pid = 7;
-    violation.policy = "cfi";
-    violation.op = "POINTER-CHECK";
-    violation.arg0 = 4096;
-    violation.arg1 = 0xBEEF;
-    violation.seq = 3;
-    violation.lag_ns = 123;
-    violation.reason = "bad pointer";
-    log.append(violation);
-
-    telemetry::EventRecord timeout;
-    timeout.type = telemetry::EventType::EpochTimeout;
-    timeout.pid = 8;
-    timeout.op = "Syscall";
-    timeout.arg0 = 59;
-    timeout.reason = "epoch \"expired\"\n"; // escaping exercise
-    log.append(timeout);
+    telemetry::emit(Event::Violation, {.pid = 7,
+                                       .policy = "cfi",
+                                       .op = "POINTER-CHECK",
+                                       .arg0 = 4096,
+                                       .arg1 = 0xBEEF,
+                                       .seq = 3,
+                                       .lag_ns = 123,
+                                       .reason = "bad pointer"});
+    telemetry::emit(Event::EpochTimeout,
+                    {.pid = 8,
+                     .op = "Syscall",
+                     .arg0 = 59,
+                     .reason = "epoch \"expired\"\n"}); // escaping exercise
 
     log.close();
     EXPECT_EQ(log.recorded(), 2u);
@@ -648,34 +684,24 @@ TEST(EventLog, JsonlRecordsMatchCheckedInGoldenFile)
     ASSERT_TRUE(log.open(path));
 
     // The same inputs the fixture was generated from.
-    telemetry::EventRecord violation;
-    violation.type = telemetry::EventType::Violation;
-    violation.pid = 7;
-    violation.shard = 2;
-    violation.policy = "cfi";
-    violation.op = "POINTER-CHECK";
-    violation.arg0 = 4096;
-    violation.arg1 = 0xBEEF;
-    violation.seq = 3;
-    violation.lag_ns = 123;
-    violation.reason = "bad pointer";
-    log.append(violation);
-
-    telemetry::EventRecord timeout;
-    timeout.type = telemetry::EventType::EpochTimeout;
-    timeout.pid = 8;
-    timeout.op = "Syscall";
-    timeout.arg0 = 59;
-    timeout.reason = "epoch \"expired\"\n";
-    log.append(timeout);
-
-    telemetry::EventRecord silent;
-    silent.type = telemetry::EventType::SilentAccept;
-    silent.pid = 41;
-    silent.shard = 0;
-    silent.arg0 = 5;
-    silent.reason = "injected fault saw no detector fire";
-    log.append(silent);
+    telemetry::emit(Event::Violation, {.pid = 7,
+                                       .shard = 2,
+                                       .policy = "cfi",
+                                       .op = "POINTER-CHECK",
+                                       .arg0 = 4096,
+                                       .arg1 = 0xBEEF,
+                                       .seq = 3,
+                                       .lag_ns = 123,
+                                       .reason = "bad pointer"});
+    telemetry::emit(Event::EpochTimeout, {.pid = 8,
+                                          .op = "Syscall",
+                                          .arg0 = 59,
+                                          .reason = "epoch \"expired\"\n"});
+    telemetry::emit(Event::SilentAccept,
+                    {.pid = 41,
+                     .shard = 0,
+                     .arg0 = 5,
+                     .reason = "injected fault saw no detector fire"});
 
     log.close();
 
@@ -710,6 +736,32 @@ TEST(EventLog, JsonlRecordsMatchCheckedInGoldenFile)
                 << "\": value drifted";
         }
     }
+}
+
+/** Every kind the table sends to the log must be one the analyzer's
+ *  schema mode knows (scripts/analyze_telemetry.py EVENT_KINDS). */
+TEST(EventLog, EveryLoggedKindPassesTheAnalyzerSchema)
+{
+    if (std::system("python3 --version > /dev/null 2>&1") != 0)
+        GTEST_SKIP() << "python3 unavailable";
+    auto &log = telemetry::EventLog::instance();
+    const std::string path =
+        "/tmp/hq_event_kinds_" + std::to_string(::getpid()) + ".jsonl";
+    ASSERT_TRUE(log.open(path));
+    std::uint64_t logged = 0;
+    for (std::size_t i = 0; i < telemetry::kEventKinds; ++i) {
+        if (!telemetry::kEventSpecs[i].log)
+            continue;
+        telemetry::emit(static_cast<Event>(i), {.reason = "schema"});
+        ++logged;
+    }
+    log.close();
+    EXPECT_EQ(log.recorded(), logged);
+
+    const std::string command = std::string("python3 ") + HQ_SCRIPTS_DIR +
+                                "/analyze_telemetry.py schema " + path;
+    EXPECT_EQ(std::system(command.c_str()), 0) << command;
+    std::remove(path.c_str());
 }
 
 TEST(EventLog, VerifierViolationProducesOneRecord)

@@ -20,6 +20,7 @@
 #include "ipc/shm_channel.h"
 #include "kernel/kernel.h"
 #include "policy/pointer_integrity.h"
+#include "telemetry/flight_recorder.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 #include "verifier/verifier.h"
@@ -30,7 +31,7 @@ namespace {
 using telemetry::Counter;
 using telemetry::Histogram;
 using telemetry::Registry;
-using telemetry::TraceRecorder;
+namespace flight = telemetry::flight;
 
 /** Count non-overlapping occurrences of needle in haystack. */
 std::size_t
@@ -50,7 +51,7 @@ struct TelemetryOn
     TelemetryOn()
     {
         Registry::instance().reset();
-        TraceRecorder::instance().reset();
+        flight::resetForTest();
         telemetry::setEnabled(true);
     }
     ~TelemetryOn() { telemetry::setEnabled(false); }
@@ -486,7 +487,7 @@ TEST(TraceJson, EventsAreWellFormedChromeTraceJson)
         telemetry::traceInstant("tick");
         telemetry::traceCounter("queue", 12);
     }
-    const std::string json = TraceRecorder::instance().toJson();
+    const std::string json = telemetry::chromeTraceJson();
     JsonChecker checker(json);
     EXPECT_TRUE(checker.valid()) << json.substr(0, 200);
     EXPECT_NE(json.find("\"name\":\"outer\""), std::string::npos);
@@ -499,31 +500,27 @@ TEST(TraceJson, EventsAreWellFormedChromeTraceJson)
 TEST(TraceJson, DisabledScopesRecordNothing)
 {
     Registry::instance().reset();
-    TraceRecorder::instance().reset();
+    flight::resetForTest();
     telemetry::setEnabled(false);
-    const std::uint64_t before = TraceRecorder::instance().totalRecorded();
+    const std::uint64_t before = flight::recordsWritten();
     {
         telemetry::TraceScope scope("invisible");
         telemetry::traceInstant("invisible");
     }
-    EXPECT_EQ(TraceRecorder::instance().totalRecorded(), before);
+    EXPECT_EQ(flight::recordsWritten(), before);
 }
 
 TEST(TraceJson, RingWrapsKeepingNewestEvents)
 {
     TelemetryOn on;
-    telemetry::TraceBuffer buffer(/*tid=*/99, /*capacity=*/8);
-    for (int i = 0; i < 100; ++i) {
-        telemetry::TraceEvent event;
-        event.name = "e";
-        event.ts_ns = static_cast<std::uint64_t>(i);
-        buffer.emit(event);
-    }
-    const auto window = buffer.snapshot();
-    ASSERT_EQ(window.size(), 8u);
-    EXPECT_EQ(window.front().ts_ns, 92u); // oldest retained
-    EXPECT_EQ(window.back().ts_ns, 99u);  // newest
-    EXPECT_EQ(buffer.recorded(), 100u);
+    const std::uint64_t total = flight::kRecordsPerThread + 100;
+    for (std::uint64_t i = 0; i < total; ++i)
+        telemetry::traceCounter("e", i);
+    const auto window = flight::snapshotAll();
+    ASSERT_EQ(window.size(), flight::kRecordsPerThread);
+    EXPECT_EQ(window.front().arg0, 100u);     // oldest retained
+    EXPECT_EQ(window.back().arg0, total - 1); // newest
+    EXPECT_EQ(flight::recordsWritten(), total);
 }
 
 // ---------------------------------------------------------------------
