@@ -27,9 +27,8 @@
  *  - --health: run the shard health watchdog (per-shard OK/DEGRADED/
  *    STALLED state published to the statsboard; pairs with
  *    `hq_stat --prom` for the fleet exporter).
- *  - --spec-window=K / --proactive: kernel speculation window and
- *    verifier proactive pre-arm for chaos legs that sweep the async
- *    ack path (DESIGN.md §13) under injected faults.
+ *  - --spec-window=K: kernel speculation window for chaos legs that
+ *    sweep the async ack path (DESIGN.md §13) under injected faults.
  *  - --ifc: compose the taint/IFC label policy with pointer integrity
  *    (docs/policies.md) and mix live label traffic into every burst,
  *    ending in a data-only leak. Chaos legs use this to prove dropped
@@ -114,7 +113,7 @@ int
 runStreaming(XprocChannel &channel, long duration_secs,
              std::size_t num_shards, WireFormat format,
              bool health_enabled, std::size_t spec_window,
-             bool proactive_acks, bool ifc_enabled)
+             bool ifc_enabled)
 {
     if (format != WireFormat::V1 && !channel.negotiateFormat(format)) {
         std::fprintf(stderr, "channel refused wire format %s\n",
@@ -215,7 +214,6 @@ runStreaming(XprocChannel &channel, long duration_secs,
     Verifier::Config config;
     config.kill_on_violation = false; // count, don't kill (§5 style)
     config.num_shards = num_shards;
-    config.proactive_acks = proactive_acks;
     if (health_enabled) {
         // Snappy watchdog so a short --duration run still publishes
         // per-shard health/heartbeat series into the statsboard.
@@ -312,7 +310,6 @@ main(int argc, char **argv)
     WireFormat format = WireFormat::V1;
     bool health_enabled = false;
     std::size_t spec_window = 0;
-    bool proactive_acks = false;
     bool ifc_enabled = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--duration=", 11) == 0)
@@ -329,8 +326,6 @@ main(int argc, char **argv)
         else if (std::strncmp(argv[i], "--spec-window=", 14) == 0)
             spec_window = static_cast<std::size_t>(
                 std::strtoul(argv[i] + 14, nullptr, 10));
-        else if (std::strcmp(argv[i], "--proactive") == 0)
-            proactive_acks = true;
         else if (std::strcmp(argv[i], "--ifc") == 0)
             ifc_enabled = true;
     }
@@ -364,7 +359,6 @@ main(int argc, char **argv)
     }
     return duration_secs > 0
                ? runStreaming(channel, duration_secs, num_shards, format,
-                              health_enabled, spec_window,
-                              proactive_acks, ifc_enabled)
+                              health_enabled, spec_window, ifc_enabled)
                : runOneShot(channel);
 }

@@ -6,11 +6,13 @@
  * variant — the NGINX bars of Figures 3 and 5.
  *
  * Gating flags exercise the async-ack pipeline (DESIGN.md §13):
- *   --gating=strict|proactive|spec   kernel gate mode for the table run
+ *   --gating=strict|spec             kernel gate mode for the table run
  *   --spec-window=K                  speculation window for spec mode
+ *                                    (--gating=spec --spec-window=1
+ *                                    runs one syscall ahead of acks)
  *   --elide-ro                       elide read-only syscalls (§5.3.3)
  *   --latency-sweep[=FILE]           p50/p99 syscall-pause sweep across
- *                                    strict/proactive/spec-K/elide-ro,
+ *                                    strict/spec-K/elide-ro,
  *                                    written as hq-latency-bench/1 JSON
  *                                    (scripts/analyze_telemetry.py
  *                                    latency gates the p99 speedup)
@@ -35,7 +37,6 @@ struct GatingMode
 {
     const char *name;
     std::size_t speculation_window;
-    bool proactive_acks;
     bool elide_readonly;
 };
 
@@ -45,7 +46,6 @@ struct ModeResult
     double p99_ns = 0.0;
     std::uint64_t pause_samples = 0;
     std::uint64_t acks_batched = 0;
-    std::uint64_t prearms_granted = 0;
     double requests_per_sec = 0.0;
     BenchmarkOutcome outcome;
 };
@@ -61,7 +61,6 @@ runGatingMode(const GatingMode &mode, double scale, std::size_t num_shards)
     options.scale = scale;
     options.num_shards = num_shards;
     options.speculation_window = mode.speculation_window;
-    options.proactive_acks = mode.proactive_acks;
     options.elide_readonly = mode.elide_readonly;
     WorkloadRunner runner(options);
     const SpecProfile &nginx = specProfile("nginx");
@@ -76,9 +75,6 @@ runGatingMode(const GatingMode &mode, double scale, std::size_t num_shards)
     result.acks_batched = telemetry::Registry::instance()
                               .counter("verifier.acks_batched")
                               .value();
-    result.prearms_granted = telemetry::Registry::instance()
-                                 .counter("verifier.proactive_prearms")
-                                 .value();
     const double requests = static_cast<double>(nginx.work_items) * scale;
     result.requests_per_sec = result.outcome.seconds > 0
                                   ? requests / result.outcome.seconds
@@ -94,33 +90,33 @@ runLatencySweep(double scale, std::size_t num_shards,
     telemetry::setEnabled(true);
 
     const GatingMode modes[] = {
-        {"strict", 0, false, false},
-        {"proactive", 0, true, false},
-        {"spec", spec_window, false, false},
+        {"strict", 0, false},
+        {"spec", spec_window, false},
         // nginx's request loop issues write-like syscalls only, so
         // elide-ro reports strict-equivalent numbers here; the mode is
         // swept so read-only-heavy profiles can reuse this harness.
-        {"elide_ro", 0, false, true},
+        {"elide_ro", 0, true},
     };
+    constexpr int kModes = sizeof(modes) / sizeof(modes[0]);
 
     std::printf("=== Gating latency sweep (scale %.2f, %zu shard%s, "
                 "spec window %zu) ===\n",
                 scale, num_shards, num_shards == 1 ? "" : "s",
                 spec_window);
-    std::printf("%-10s %10s %10s %10s %12s %8s %8s %8s %8s\n", "mode",
+    std::printf("%-10s %10s %10s %10s %12s %8s %8s %8s\n", "mode",
                 "p50(ns)", "p99(ns)", "samples", "requests/s", "waits",
-                "spec", "prearm", "granted");
+                "spec", "depth");
 
-    ModeResult results[4];
+    ModeResult results[kModes];
     bool ok = true;
-    for (int i = 0; i < 4; ++i) {
+    for (int i = 0; i < kModes; ++i) {
         results[i] = runGatingMode(modes[i], scale, num_shards);
         const ModeResult &r = results[i];
         // Any violation/kill on this benign workload is a failed run.
         if (!r.outcome.ok || r.pause_samples == 0)
             ok = false;
         std::printf("%-10s %10.0f %10.0f %10llu %12.0f %8llu %8llu "
-                    "%8llu %8llu\n",
+                    "%8llu\n",
                     modes[i].name, r.p50_ns, r.p99_ns,
                     static_cast<unsigned long long>(r.pause_samples),
                     r.requests_per_sec,
@@ -129,8 +125,7 @@ runLatencySweep(double scale, std::size_t num_shards,
                     static_cast<unsigned long long>(
                         r.outcome.spec_syscalls),
                     static_cast<unsigned long long>(
-                        r.outcome.pre_arm_hits),
-                    static_cast<unsigned long long>(r.prearms_granted));
+                        r.outcome.max_spec_depth));
     }
 
     if (json_path != nullptr && json_path[0] != '\0') {
@@ -145,25 +140,23 @@ runLatencySweep(double scale, std::size_t num_shards,
                      "  \"scale\": %.4f,\n  \"num_shards\": %zu,\n"
                      "  \"spec_window\": %zu,\n  \"modes\": {\n",
                      scale, num_shards, spec_window);
-        for (int i = 0; i < 4; ++i) {
+        for (int i = 0; i < kModes; ++i) {
             const ModeResult &r = results[i];
             std::fprintf(
                 out,
                 "    \"%s\": {\"p50_ns\": %.1f, \"p99_ns\": %.1f, "
                 "\"pause_samples\": %llu, \"requests_per_sec\": %.1f, "
                 "\"syscalls\": %llu, \"waits\": %llu, "
-                "\"spec_syscalls\": %llu, \"pre_arm_hits\": %llu, "
-                "\"max_spec_depth\": %llu}%s\n",
+                "\"spec_syscalls\": %llu, \"max_spec_depth\": %llu}%s\n",
                 modes[i].name, r.p50_ns, r.p99_ns,
                 static_cast<unsigned long long>(r.pause_samples),
                 r.requests_per_sec,
                 static_cast<unsigned long long>(r.outcome.syscalls),
                 static_cast<unsigned long long>(r.outcome.syscall_waits),
                 static_cast<unsigned long long>(r.outcome.spec_syscalls),
-                static_cast<unsigned long long>(r.outcome.pre_arm_hits),
                 static_cast<unsigned long long>(
                     r.outcome.max_spec_depth),
-                i + 1 < 4 ? "," : "");
+                i + 1 < kModes ? "," : "");
         }
         std::fprintf(out, "  },\n  \"ok\": %s\n}\n",
                      ok ? "true" : "false");
@@ -221,14 +214,11 @@ main(int argc, char **argv)
     options.num_shards = num_shards;
     options.health_enabled = health_enabled;
     options.elide_readonly = elide_ro;
-    if (std::strcmp(gating, "proactive") == 0)
-        options.proactive_acks = true;
-    else if (std::strcmp(gating, "spec") == 0)
+    if (std::strcmp(gating, "spec") == 0)
         options.speculation_window = spec_window;
     else if (std::strcmp(gating, "strict") != 0) {
         std::fprintf(stderr,
-                     "nginx_sim: unknown --gating=%s "
-                     "(strict|proactive|spec)\n",
+                     "nginx_sim: unknown --gating=%s (strict|spec)\n",
                      gating);
         return 2;
     }

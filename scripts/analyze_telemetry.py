@@ -19,9 +19,9 @@ Five modes:
       Post-process a `nginx_sim --latency-sweep=RAW.json` result:
       compute the strict/mode p99 syscall-pause speedups and write
       BENCH_latency.json (schema hq-latency-bench-summary/1). Exits
-      non-zero when the raw sweep failed or either the proactive or
-      spec speedup falls below --min-p99-speedup (default 0 = no gate;
-      CI passes 1.2 on the default job).
+      non-zero when the raw sweep failed or the spec speedup falls
+      below --min-p99-speedup (default 0 = no gate; CI passes 1.2 on
+      the default job).
 
   schema FILE...
       Strict JSONL validation for event logs and flight-recorder dumps.
@@ -199,7 +199,7 @@ def cmd_latency(args):
             return None
         return strict_p99 / p99
 
-    gated = {mode: speedup(mode) for mode in ("proactive", "spec")}
+    spec = speedup("spec")
     out = args.output or os.path.join(
         os.path.dirname(os.path.abspath(args.raw)), "BENCH_latency.json")
     summary = {
@@ -215,7 +215,7 @@ def cmd_latency(args):
                 "p99_ns": stats.get("p99_ns"),
                 "pause_samples": stats.get("pause_samples"),
                 "spec_syscalls": stats.get("spec_syscalls"),
-                "pre_arm_hits": stats.get("pre_arm_hits"),
+                "max_spec_depth": stats.get("max_spec_depth"),
                 "p99_speedup_vs_strict": speedup(mode),
             }
             for mode, stats in sorted(modes.items())
@@ -225,19 +225,15 @@ def cmd_latency(args):
     with open(out, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    shown = ", ".join(
-        f"{mode} {ratio and round(ratio, 3)}x"
-        for mode, ratio in gated.items())
     print(f"wrote {out}: strict p99 {strict_p99 and fmt_ns(strict_p99)}, "
-          f"p99 speedups: {shown}")
+          f"spec p99 speedup: {spec and round(spec, 3)}x")
 
     if not raw.get("ok"):
         sys.exit("latency sweep reported a failed run")
-    if args.min_p99_speedup:
-        for mode, ratio in gated.items():
-            if ratio is None or ratio < args.min_p99_speedup:
-                sys.exit(f"{mode} p99 speedup {ratio} below gate "
-                         f"{args.min_p99_speedup}")
+    if args.min_p99_speedup and (spec is None
+                                 or spec < args.min_p99_speedup):
+        sys.exit(f"spec p99 speedup {spec} below gate "
+                 f"{args.min_p99_speedup}")
     return 0
 
 
@@ -358,8 +354,8 @@ def main():
     latency.add_argument("raw", help="raw hq-latency-bench/1 JSON result")
     latency.add_argument("-o", "--output", default=None)
     latency.add_argument("--min-p99-speedup", type=float, default=0.0,
-                         help="fail when the proactive or spec p99 "
-                              "speedup vs strict is below this")
+                         help="fail when the spec p99 speedup vs "
+                              "strict is below this")
     latency.set_defaults(func=cmd_latency)
 
     schema = sub.add_parser("schema",

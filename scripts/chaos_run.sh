@@ -57,8 +57,8 @@ SPECS_V2=(
 )
 
 # Async-ack legs: the same lossy/latency classes with the speculation
-# window open and proactive pre-arm on, so faults land while acks are
-# batched and the gate is pre-armed. Detection must be unchanged —
+# window open, so faults land while acks are batched and the process
+# runs ahead of verification. Detection must be unchanged —
 # speculation bounds WHEN enforcement lands, never WHETHER.
 SPECS_GATING=(
     "seed=7,ring_drop:0.01"
@@ -66,7 +66,7 @@ SPECS_GATING=(
     "seed=7,transport_delay:0.02"
     "seed=7,ring_drop:0.005,ring_corrupt:0.002,transport_delay:0.01"
 )
-GATING_FLAGS=(--spec-window=4 --proactive)
+GATING_FLAGS=(--spec-window=4)
 
 # IFC legs: the same fault classes with the taint/IFC label policy
 # composed in and live label traffic in every burst (--ifc). A dropped

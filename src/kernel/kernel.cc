@@ -227,36 +227,28 @@ KernelModule::syscallEnter(Pid pid, std::uint64_t sysno,
     if (telemetry::enabled())
         syscallsCounter().inc();
 
-    if (context->killed) {
-        return Status::error(StatusCode::PolicyViolation,
-                             context->kill_reason.empty()
-                                 ? "process killed"
-                                 : context->kill_reason);
-    }
-
-    // This syscall's 1-based gate index, and the ack credit that must
-    // have arrived before it may retire. Strict gating (window 0)
-    // demands the ack for this very syscall's System-Call message; a
-    // window of K lets the process run up to K syscalls ahead.
-    // Barrier syscalls (execve/fork/exit-class) are always strict, and
-    // the proactive pre-arm never applies to them either: their
-    // effects cannot be contained by a delayed kill.
+    // The one admission predicate. Entry n = sc_gated + 1 may retire
+    // once sc_acked >= n - window: strict gating (window 0) demands the
+    // ack for this very syscall's System-Call message, a window of K
+    // lets the process run up to K syscalls ahead. Barrier syscalls
+    // (execve/fork/exit-class) are always strict: their effects cannot
+    // be contained by a delayed kill. Acks are clamped to sc_gated + 1,
+    // so depth <= window holds by construction. A kill ends every wait.
     const std::uint64_t entry = context->sc_gated + 1;
-    const bool barrier = isSpeculationBarrier(sysno);
-    const std::uint64_t window =
-        barrier ? 0 : _config.speculation_window;
+    const std::uint64_t window = isSpeculationBarrier(sysno)
+                                     ? 0
+                                     : _config.speculation_window;
     const std::uint64_t required = entry > window ? entry - window : 0;
-    const auto admissible = [&context, required, barrier] {
-        return context->sc_acked >= required ||
-               (!barrier && context->pre_armed);
+    const auto decided = [&context, required] {
+        return context->killed || context->sc_acked >= required;
     };
 
-    if (spin_fast_path && !admissible() && !context->killed) {
+    if (spin_fast_path && !decided()) {
         // Fast path: spin briefly — the verifier normally consumes the
         // pipelined System-Call message within this window (§2.2).
         const auto spin_deadline =
             std::chrono::steady_clock::now() + _config.spin;
-        while (!admissible() && !context->killed &&
+        while (!decided() &&
                std::chrono::steady_clock::now() < spin_deadline) {
             lock.unlock();
             std::this_thread::yield();
@@ -264,7 +256,7 @@ KernelModule::syscallEnter(Pid pid, std::uint64_t sysno,
         }
     }
 
-    if (!admissible() && !context->killed) {
+    if (!decided()) {
         ++context->stats.waits;
         auto epoch = _config.epoch;
         if (faultinject::fire(faultinject::Site::KernelEpochDelay)) {
@@ -278,12 +270,7 @@ KernelModule::syscallEnter(Pid pid, std::uint64_t sysno,
             // spurious wake must never turn into a spurious resume.
             context->cv.wait_for(lock, std::chrono::microseconds(100));
         }
-        const bool signalled = context->cv.wait_for(
-            lock, epoch,
-            [&admissible, &context] {
-                return admissible() || context->killed;
-            });
-        if (!signalled) {
+        if (!context->cv.wait_for(lock, epoch, decided)) {
             // No synchronization message within the epoch: treat as a
             // policy violation and terminate the monitored program.
             ++context->stats.epoch_timeouts;
@@ -301,11 +288,10 @@ KernelModule::syscallEnter(Pid pid, std::uint64_t sysno,
                  .reason = context->kill_reason});
             logWarn("kernel: epoch expired for pid ", pid, " at syscall ",
                     sysno);
-            return Status::error(StatusCode::PolicyViolation,
-                                 context->kill_reason);
         }
     }
 
+    // Killed before entry, while waiting, or by the epoch expiring.
     if (context->killed) {
         return Status::error(StatusCode::PolicyViolation,
                              context->kill_reason.empty()
@@ -314,22 +300,12 @@ KernelModule::syscallEnter(Pid pid, std::uint64_t sysno,
     }
 
     // Retire the gate entry (the strict contract's "reset the
-    // synchronization variable upon resumption", §3.3). A pre-arm is
-    // consumed by the admission it enabled; an admission already
-    // covered by acks leaves it standing for the next syscall — the
-    // credit is one admission total either way (the documented
-    // speculation_window=1 equivalence), and kill/violation still
-    // closes the gate ahead of it.
+    // synchronization variable upon resumption", §3.3).
     context->sc_gated = entry;
-    const bool via_pre_arm = context->sc_acked < required;
-    if (via_pre_arm) {
-        context->pre_armed = false;
-        ++context->stats.pre_arm_hits;
-    }
     if (context->sc_acked < entry) {
-        // Retiring ahead of this syscall's own ack: bounded speculation
-        // (or a proactive push). Track the depth — it is exactly the
-        // detection delay a late violation would have enjoyed.
+        // Retiring ahead of this syscall's own ack: bounded
+        // speculation. Track the depth — it is exactly the detection
+        // delay a late violation would have enjoyed.
         const std::uint64_t depth = entry - context->sc_acked;
         ++context->stats.spec_syscalls;
         context->stats.max_spec_depth =
@@ -401,18 +377,6 @@ KernelModule::syscallResumeBatch(const SyscallAck *acks, std::size_t n)
                 applyResumeLocked(bucket, acks[i]);
         }
     }
-}
-
-void
-KernelModule::preArmProcess(Pid pid)
-{
-    Bucket &bucket = bucketFor(pid);
-    std::lock_guard<std::mutex> guard(bucket.mutex);
-    std::shared_ptr<ProcessContext> context = find(bucket, pid);
-    if (!context || context->killed)
-        return;
-    context->pre_armed = true;
-    context->cv.notify_all();
 }
 
 void

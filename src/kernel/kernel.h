@@ -7,9 +7,9 @@
  * The paper's context holds a boolean synchronization variable: set by
  * the verifier upon receiving the process's System-Call message, reset
  * by the module when the system call resumes. This module generalizes
- * it to a pair of counters (syscalls retired / acks credited) so the
- * same gate expresses the strict boolean contract (speculation window
- * 0), the proactive pre-armed fast path, and bounded speculation up to
+ * it to a pair of counters (syscalls retired / acks credited) so one
+ * admission predicate expresses both the strict boolean contract
+ * (speculation window 0) and bounded speculation up to
  * Config::speculation_window syscalls ahead of verification. If no
  * synchronization message arrives within a configurable epoch, the
  * kernel treats it as a policy violation and terminates the process.
@@ -75,7 +75,6 @@ struct KernelProcessStats
     std::uint64_t waits = 0;          //!< syscalls that had to block
     std::uint64_t epoch_timeouts = 0; //!< syncs that timed out
     std::uint64_t spec_syscalls = 0;  //!< retired ahead of their own ack
-    std::uint64_t pre_arm_hits = 0;   //!< admissions via a proactive push
     std::uint64_t max_spec_depth = 0; //!< peak unacked retirement depth
 };
 
@@ -208,15 +207,6 @@ class KernelModule
      */
     void syscallResumeBatch(const SyscallAck *acks, std::size_t n);
 
-    /**
-     * Proactive ack push: the verifier fully drained the process's
-     * channel with no violation, so the *next* non-barrier
-     * syscallEnter() is admitted without blocking even though its own
-     * System-Call message has not been verified yet. Grants exactly
-     * one admission (consumed on use); re-armed on each full drain.
-     */
-    void preArmProcess(Pid pid);
-
     /** Verifier detected a policy violation: terminate the process. */
     void killProcess(Pid pid, const std::string &reason);
 
@@ -239,9 +229,6 @@ class KernelModule
         /// resume: the pipelined design legitimately acks one syscall
         /// before its gate entry, but nothing beyond that may bank.
         std::uint64_t sc_acked = 0;
-        /// Proactive push: one non-blocking admission of a non-barrier
-        /// syscall; consumed on every admission.
-        bool pre_armed = false;
         bool killed = false;
         std::string kill_reason;
         KernelProcessStats stats;

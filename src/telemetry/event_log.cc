@@ -54,7 +54,7 @@ emitSlow(Event kind, std::uint32_t sinks, const EventFields &fields)
         if (spec.dump == Dump::Forced)
             flight::dump(spec.name);
         else if (spec.dump == Dump::Limited)
-            flight::requestDump(spec.name);
+            flight::requestDump(kind);
     }
 }
 

@@ -17,8 +17,8 @@
  *  - ring: None, or written to the calling thread's record ring while
  *    telemetry or the flight recorder is on, and drawn on the Chrome
  *    trace as an Instant or as a Counter track of arg0.
- *  - dump: None, Limited (flight::requestDump, at most one per second)
- *    or Forced (flight::dump) while the flight recorder is on.
+ *  - dump: None, Limited (flight::requestDump, at most one per second
+ *    per row) or Forced (flight::dump) while the flight recorder is on.
  *  - counter: global registry counter bumped while telemetry is on
  *    (nullptr: none).
  *

@@ -77,7 +77,8 @@ threadSlot()
 std::mutex g_dump_mutex;      //!< serializes configure() and dump()
 std::atomic<int> g_fd{-1};    //!< kept open for the signal-safe path
 std::string g_path;           //!< guarded by g_dump_mutex
-std::atomic<std::uint64_t> g_last_dump_ns{0};
+/// Last requestDump() per HQ_TELEMETRY_EVENTS row (0 = never).
+std::atomic<std::uint64_t> g_last_dump_ns[kEventKinds];
 
 // --- Manual formatting (shared by dump() and the signal path) --------
 //
@@ -378,21 +379,23 @@ dump(const char *trigger)
 }
 
 void
-requestDump(const char *trigger)
+requestDump(Event kind)
 {
     if (!enabled() || g_fd.load(std::memory_order_relaxed) < 0)
         return;
     constexpr std::uint64_t kMinGapNs = 1'000'000'000; // 1 dump/sec
+    std::atomic<std::uint64_t> &last_dump =
+        g_last_dump_ns[static_cast<std::size_t>(kind)];
     const std::uint64_t now = monotonicRawNs();
-    std::uint64_t last = g_last_dump_ns.load(std::memory_order_relaxed);
+    std::uint64_t last = last_dump.load(std::memory_order_relaxed);
     if (last != 0 && now - last < kMinGapNs)
         return;
     // One requester wins the window; the losers' triggers were within
-    // the last second of the dump that does land.
-    if (!g_last_dump_ns.compare_exchange_strong(last, now,
-                                                std::memory_order_relaxed))
+    // the last second of the dump that does land for the same kind.
+    if (!last_dump.compare_exchange_strong(last, now,
+                                           std::memory_order_relaxed))
         return;
-    dump(trigger);
+    dump(eventSpec(kind).name);
 }
 
 void
@@ -476,7 +479,8 @@ resetForTest()
         ring.used.store(g_slot_taken[i].load(std::memory_order_relaxed) != 0,
                         std::memory_order_relaxed);
     }
-    g_last_dump_ns.store(0, std::memory_order_relaxed);
+    for (std::atomic<std::uint64_t> &last_dump : g_last_dump_ns)
+        last_dump.store(0, std::memory_order_relaxed);
 }
 
 } // namespace flight

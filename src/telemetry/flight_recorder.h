@@ -125,11 +125,13 @@ std::string dumpPath();
 std::size_t dump(const char *trigger);
 
 /**
- * Rate-limited dump(): at most one dump per second fires regardless of
- * how many triggers ask (violation storms, per-message SLO breaches).
+ * Rate-limited dump() triggered by an event of `kind`: at most one dump
+ * per second per HQ_TELEMETRY_EVENTS row fires, however many events of
+ * that kind ask (violation storms, per-message SLO breaches), so a
+ * storm of one kind never suppresses the first dump of another.
  * No-op when disabled or unconfigured.
  */
-void requestDump(const char *trigger);
+void requestDump(Event kind);
 
 /** The newest kDumpRecordsPerThread event records of every ring,
  *  merged oldest-first: what a dump writes. */

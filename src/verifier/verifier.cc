@@ -24,12 +24,10 @@ HQ_TELEMETRY_HANDLE(idleSleepsCounter, Counter, "verifier.idle_sleeps")
 HQ_TELEMETRY_HANDLE(lagHist, Histogram, "verifier.lag_ns")
 HQ_TELEMETRY_HANDLE(lagHighWater, Gauge, "verifier.lag_high_water_ns")
 // Async-ack pipeline: total acks delivered through coalesced
-// syscallResumeBatch flushes, queue-to-flush latency per ack message
-// (breaches feed the same lag SLO counter as verification lag), and
-// proactive pre-arm pushes sent.
+// syscallResumeBatch flushes, and queue-to-flush latency per ack
+// message (breaches feed the same lag SLO counter as verification lag).
 HQ_TELEMETRY_HANDLE(acksBatchedCounter, Counter, "verifier.acks_batched")
 HQ_TELEMETRY_HANDLE(ackLatencyHist, Histogram, "verifier.ack_latency_ns")
-HQ_TELEMETRY_HANDLE(preArmsCounter, Counter, "verifier.proactive_prearms")
 
 std::size_t
 resolveNumShards(std::size_t requested)
@@ -292,8 +290,8 @@ Verifier::shardLoop(std::size_t shard_index)
             }
             // Kick-aware nap: a gate kick (one of this shard's pids
             // trapped into a syscall) ends it immediately, so the
-            // drain that produces the ack/pre-arm starts while the
-            // syscall spins or yields instead of a nap period later.
+            // drain that produces the ack starts while the syscall
+            // spins or yields instead of a nap period later.
             std::unique_lock<std::mutex> lk(shard.wake_mutex);
             shard.wake_cv.wait_for(
                 lk, std::chrono::microseconds(10), [&] {
@@ -354,29 +352,14 @@ Verifier::pollShard(std::size_t shard_index)
                 shard.drain_list.push_back(entry.get());
         }
         for (ChannelEntry *entry_ptr : shard.drain_list) {
-            ChannelEntry &entry = *entry_ptr;
-            const Drained drained =
-                drainChannel(shard, entry, batch, batch_max);
-            if (drained.records == 0)
+            const std::size_t records =
+                drainChannel(shard, *entry_ptr, batch, batch_max);
+            if (records == 0)
                 continue;
             progress = true;
-            processed += drained.records;
+            processed += records;
             if (_crashed.load(std::memory_order_relaxed))
                 break;
-            // Proactive push: this round checked every slot the
-            // channel showed (the drain reached the producer cursor it
-            // observed), so its owner is fully verified as of the
-            // drain point — pre-arm the kernel gate at flush so the
-            // owner's next syscall skips the poll-then-ack round trip.
-            // A drain the budget cut short left unchecked slots behind
-            // and must not pre-arm. pending() is no test: a saturating
-            // producer keeps it nonzero even though every observed
-            // message was validated, and the credit means exactly
-            // that. Device-stamped channels carry interleaved pids and
-            // never pre-arm.
-            if (_config.proactive_acks && !entry.device_stamped &&
-                drained.exhausted)
-                shard.pending_prearms.push_back(entry.owner);
         }
         // Coalesced resume: one syscallResumeBatch per round covers
         // every pid drained above, bounding added ack latency to the
@@ -391,19 +374,17 @@ Verifier::pollShard(std::size_t shard_index)
     return processed;
 }
 
-Verifier::Drained
+std::size_t
 Verifier::drainChannel(Shard &shard, ChannelEntry &entry, Message *scratch,
                        std::size_t batch_max)
 {
     // One loop for every transport and wire format: borrow the queued
     // slots in place, decode the next run, check it, and only then
     // release its slots. Only the decode step depends on the format.
-    Drained drained;
+    std::size_t records = 0;
     RecvSpan span;
-    if (!entry.channel->tryPeekSpan(span)) {
-        drained.exhausted = true;
-        return drained;
-    }
+    if (!entry.channel->tryPeekSpan(span))
+        return 0;
     const bool framed = entry.channel->format() == WireFormat::V2;
     const std::size_t cap = entry.channel->recvCapacity();
     // v2 decode budgets: the ring bound rejects headers whose footprint
@@ -412,14 +393,14 @@ Verifier::drainChannel(Shard &shard, ChannelEntry &entry, Message *scratch,
     // fairness cap — fairness is enforced below at run granularity.
     const frame::DecodeLimits limits{
         cap != 0 ? cap : frame::kMaxFrameSlots, kMaxPollBatch};
-    while (span.total() != 0 && drained.records < batch_max) {
+    while (span.total() != 0 && records < batch_max) {
         std::size_t slots;
         if (!framed) {
             // v1: the next contiguous run of self-checking messages,
             // checked where they sit.
-            slots = std::min(span.seg[0].count, batch_max - drained.records);
+            slots = std::min(span.seg[0].count, batch_max - records);
             processBatch(shard, entry, span.seg[0].data, slots, false);
-            drained.records += slots;
+            records += slots;
         } else {
             frame::FrameView view;
             const frame::DecodeStatus status =
@@ -448,13 +429,12 @@ Verifier::drainChannel(Shard &shard, ChannelEntry &entry, Message *scratch,
                 // than the remaining budget cannot wedge the drain
                 // (kMaxRecords <= kMaxPollBatch keeps scratch in
                 // bounds).
-                if (drained.records != 0 &&
-                    drained.records + view.count > batch_max)
+                if (records != 0 && records + view.count > batch_max)
                     break;
                 frame::unpackAll(span, view, scratch);
                 processBatch(shard, entry, scratch, view.count, true);
                 slots = view.slots;
-                drained.records += view.count;
+                records += view.count;
             }
         }
         entry.channel->consumeSlots(slots);
@@ -462,8 +442,7 @@ Verifier::drainChannel(Shard &shard, ChannelEntry &entry, Message *scratch,
         if (_crashed.load(std::memory_order_relaxed))
             break;
     }
-    drained.exhausted = span.total() == 0;
-    return drained;
+    return records;
 }
 
 void
@@ -756,72 +735,44 @@ Verifier::queueAck(Shard &shard, Pid pid)
 void
 Verifier::flushAcks(Shard &shard)
 {
-    if (shard.pending_acks.empty() && shard.pending_prearms.empty())
+    if (shard.pending_acks.empty())
         return;
     if (_crashed.load(std::memory_order_relaxed)) {
         // Death before the flush: the acks must never arrive, so the
         // monitored processes hit the epoch timeout (fail closed).
         shard.pending_acks.clear();
         shard.pending_ack_ns.clear();
-        shard.pending_prearms.clear();
         return;
     }
-    if (!shard.pending_acks.empty()) {
-        _kernel.syscallResumeBatch(shard.pending_acks.data(),
-                                   shard.pending_acks.size());
-        if (_health) {
-            shard.last_ack_ns.store(telemetry::monotonicRawNs(),
-                                    std::memory_order_relaxed);
-        }
-        if (telemetry::enabled()) {
-            std::uint64_t total = 0;
-            for (const KernelModule::SyscallAck &ack : shard.pending_acks)
-                total += ack.count;
-            acksBatchedCounter().add(total);
-            // Queue-to-flush latency per ack message; a breach feeds
-            // the same SLO counter as end-to-end verification lag
-            // (both delay the monitored process's resume).
-            const std::uint64_t now = telemetry::monotonicRawNs();
-            for (const std::uint64_t queued : shard.pending_ack_ns) {
-                const std::uint64_t lat = now > queued ? now - queued : 0;
-                ackLatencyHist().record(lat);
-                if (_config.lag_slo_ns != 0 && lat > _config.lag_slo_ns) {
-                    telemetry::emit(
-                        telemetry::Event::SloBreach,
-                        {.shard = static_cast<std::int32_t>(shard.index),
-                         .arg0 = lat,
-                         .arg1 = _config.lag_slo_ns});
-                }
+    _kernel.syscallResumeBatch(shard.pending_acks.data(),
+                               shard.pending_acks.size());
+    if (_health) {
+        shard.last_ack_ns.store(telemetry::monotonicRawNs(),
+                                std::memory_order_relaxed);
+    }
+    if (telemetry::enabled()) {
+        std::uint64_t total = 0;
+        for (const KernelModule::SyscallAck &ack : shard.pending_acks)
+            total += ack.count;
+        acksBatchedCounter().add(total);
+        // Queue-to-flush latency per ack message; a breach feeds the
+        // same SLO counter as end-to-end verification lag (both delay
+        // the monitored process's resume).
+        const std::uint64_t now = telemetry::monotonicRawNs();
+        for (const std::uint64_t queued : shard.pending_ack_ns) {
+            const std::uint64_t lat = now > queued ? now - queued : 0;
+            ackLatencyHist().record(lat);
+            if (_config.lag_slo_ns != 0 && lat > _config.lag_slo_ns) {
+                telemetry::emit(
+                    telemetry::Event::SloBreach,
+                    {.shard = static_cast<std::int32_t>(shard.index),
+                     .arg0 = lat,
+                     .arg1 = _config.lag_slo_ns});
             }
         }
-        shard.pending_acks.clear();
-        shard.pending_ack_ns.clear();
     }
-    for (std::size_t i = 0; i < shard.pending_prearms.size(); ++i) {
-        const Pid pid = shard.pending_prearms[i];
-        // A pid can appear once per channel per round; push once.
-        bool duplicate = false;
-        for (std::size_t j = 0; j < i && !duplicate; ++j)
-            duplicate = shard.pending_prearms[j] == pid;
-        if (duplicate)
-            continue;
-        // Re-check under the home shard's state lock: a violation or
-        // exit recorded after the drain must veto the push.
-        bool eligible = false;
-        {
-            Shard &home = *_shards[_registry.shardOf(pid)];
-            std::lock_guard<std::mutex> guard(home.state_mutex);
-            auto it = home.processes.find(pid);
-            eligible = it != home.processes.end() &&
-                       !it->second.violated && !it->second.exited;
-        }
-        if (!eligible)
-            continue;
-        _kernel.preArmProcess(pid);
-        if (telemetry::enabled())
-            preArmsCounter().inc();
-    }
-    shard.pending_prearms.clear();
+    shard.pending_acks.clear();
+    shard.pending_ack_ns.clear();
 }
 
 void

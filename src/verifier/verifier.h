@@ -131,18 +131,6 @@ class Verifier : public ProcessEventListener
         bool health_enabled = false;
         /** Watchdog thresholds; used only when health_enabled. */
         telemetry::HealthConfig health{};
-        /**
-         * Proactive ack push: whenever a drain round leaves a
-         * process's channel empty with no violation, pre-arm its
-         * kernel gate (KernelModule::preArmProcess) so the next
-         * syscallEnter() returns without blocking instead of paying
-         * the poll-then-ack round trip that dominates p99. Off by
-         * default — a pre-armed admission runs one syscall ahead of
-         * verification (the same contract as speculation_window = 1),
-         * which strict-mode callers must not get implicitly. Never
-         * applied to device-stamped channels (they interleave pids).
-         */
-        bool proactive_acks = false;
     };
 
     /**
@@ -361,10 +349,6 @@ class Verifier : public ProcessEventListener
         /// feeding the verifier.ack_latency_ns histogram at flush.
         /// Only populated while telemetry is enabled.
         std::vector<std::uint64_t> pending_ack_ns;
-        /// Owners whose channels this round drained empty; pre-armed
-        /// at flush when proactive_acks is on (touched under
-        /// drain_mutex).
-        std::vector<Pid> pending_prearms;
         /// Gate-kick wakeup: onSyscallGate bumps gate_kicks and
         /// notifies, so an idle worker's nap ends the moment one of
         /// its pids traps into a syscall instead of at the nap timer.
@@ -389,23 +373,16 @@ class Verifier : public ProcessEventListener
     void shardLoop(std::size_t shard_index);
     /** Resolve pid's ProcessEntry via the memo, locking its home shard. */
     ProcessEntry *lookupProcess(Pid pid, PidMemo &memo);
-    /** Outcome of one drainChannel call. */
-    struct Drained
-    {
-        std::size_t records = 0; //!< messages (records) processed
-        /// Every slot of the channel's view was consumed: the drain
-        /// reached the producer cursor it observed.
-        bool exhausted = false;
-    };
     /**
      * Drain at most one poll-batch from a channel: peek its queued
      * slots once, then decode, check and consume them run by run in
      * place — a v1 run is a contiguous stretch of self-checking
      * messages, a v2 run is one frame (decoded, unpacked into scratch,
      * CRC-trusted; corrupt frames fail closed).
+     * @return number of messages (records) processed.
      */
-    Drained drainChannel(Shard &shard, ChannelEntry &entry,
-                         Message *scratch, std::size_t batch_max);
+    std::size_t drainChannel(Shard &shard, ChannelEntry &entry,
+                             Message *scratch, std::size_t batch_max);
     /**
      * Feed n already-validated-or-self-checking messages drained from
      * entry through lag matching, policy prefetch, and handleMessage;
@@ -426,10 +403,9 @@ class Verifier : public ProcessEventListener
     /** Queue one syscall ack on the polling shard (drain_mutex held). */
     void queueAck(Shard &shard, Pid pid);
     /**
-     * Send the round's coalesced acks in one syscallResumeBatch call
-     * and apply any pending proactive pre-arms. A crashed verifier
-     * drops everything unsent: its death must look like silence to the
-     * kernel (fail closed, epoch timeout).
+     * Send the round's coalesced acks in one syscallResumeBatch call.
+     * A crashed verifier drops them unsent: its death must look like
+     * silence to the kernel (fail closed, epoch timeout).
      */
     void flushAcks(Shard &shard);
     void recordViolation(std::size_t home_shard, Pid pid,

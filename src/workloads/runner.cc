@@ -56,7 +56,6 @@ WorkloadRunner::execute(const SpecProfile &profile, CfiDesign design,
     vconfig.kill_on_violation = _options.kill_on_violation;
     vconfig.num_shards = _options.num_shards;
     vconfig.health_enabled = _options.health_enabled;
-    vconfig.proactive_acks = _options.proactive_acks;
     if (_options.health_enabled)
         vconfig.health.interval = std::chrono::milliseconds(50);
     Verifier verifier(kernel, policy, vconfig);
@@ -109,7 +108,6 @@ WorkloadRunner::execute(const SpecProfile &profile, CfiDesign design,
     outcome.syscalls = kstats.syscalls;
     outcome.syscall_waits = kstats.waits;
     outcome.spec_syscalls = kstats.spec_syscalls;
-    outcome.pre_arm_hits = kstats.pre_arm_hits;
     outcome.max_spec_depth = kstats.max_spec_depth;
     if (runtime_ptr) {
         outcome.messages_sent = runtime_ptr->messagesSent();

@@ -40,7 +40,6 @@ struct BenchmarkOutcome
     std::uint64_t syscalls = 0;
     std::uint64_t syscall_waits = 0;   //!< syscalls that had to block
     std::uint64_t spec_syscalls = 0;   //!< retired ahead of their ack
-    std::uint64_t pre_arm_hits = 0;    //!< proactive fast-path passes
     std::uint64_t max_spec_depth = 0;  //!< peak speculation depth
     std::uint64_t checksum = 0;
 };
@@ -74,8 +73,6 @@ struct RunnerOptions
     /** Kernel gate speculation window (0 = strict; clamped by the
      *  kernel to KernelModule::kMaxSpeculationWindow). */
     std::size_t speculation_window = 0;
-    /** Verifier pre-arms the gate after each full channel drain. */
-    bool proactive_acks = false;
     /** Elide the gate for read-only syscalls (§5.3.3 improvement). */
     bool elide_readonly = false;
 };

@@ -17,6 +17,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -679,6 +681,74 @@ TEST_F(FrameE2eTest, ChaosSweepHasZeroSilentAccepts)
     const auto stats = harness.verifier->statsFor(kPid);
     EXPECT_GE(stats.violations, injected)
         << "every corrupt frame must be detected (zero silent accepts)";
+}
+
+/** A shared-memory channel that counts the verifier's peeks at it. */
+class PeekCountingChannel : public ShmChannel
+{
+  public:
+    using ShmChannel::ShmChannel;
+
+    bool
+    tryPeekSpan(RecvSpan &out) override
+    {
+        ++peeks;
+        if (on_peek)
+            on_peek();
+        return ShmChannel::tryPeekSpan(out);
+    }
+
+    int peeks = 0;
+    std::function<void()> on_peek;
+};
+
+TEST_F(FrameE2eTest, FrameOverTheBudgetWaitsForTheNextRound)
+{
+    // Two 40-record v2 frames against the default 64-record poll
+    // budget: round 1 checks frame 1 and stops, because frame 2 would
+    // overrun the budget; round 2 checks frame 2 (which carries the
+    // violation). Each frame is checked whole, in its own round.
+    KernelModule kernel;
+    Verifier::Config config;
+    config.num_shards = 1;
+    config.kill_on_violation = false;
+    Verifier verifier(kernel, std::make_shared<PointerIntegrityPolicy>(),
+                      config);
+    ASSERT_EQ(verifier.config().poll_batch, 64u);
+    PeekCountingChannel channel(256);
+    ASSERT_TRUE(channel.negotiateFormat(WireFormat::V2));
+    // The verifier peeks each attached channel once per round, in
+    // attach order: once this empty marker has been peeked, round 1 is
+    // over and the next peek at `channel` starts round 2.
+    PeekCountingChannel round_marker(16);
+    verifier.attachChannel(&channel, kPid);
+    verifier.attachChannel(&round_marker, kPid + 1);
+    ASSERT_TRUE(kernel.enableProcess(kPid).isOk());
+
+    std::vector<Message> frame1(40, Message(Opcode::PointerCheck, 0x1000,
+                                            0xAAAA));
+    frame1[0] = Message(Opcode::PointerDefine, 0x1000, 0xAAAA);
+    std::vector<Message> frame2 = frame1;
+    frame2[0] = Message(Opcode::PointerCheck, 0x1000, 0xAAAA);
+    frame2[39] = Message(Opcode::PointerCheck, 0x1000, 0xBAD);
+    ASSERT_TRUE(channel.sendBatch(frame1.data(), frame1.size()).isOk());
+    ASSERT_TRUE(channel.sendBatch(frame2.data(), frame2.size()).isOk());
+
+    bool round2 = false;
+    VerifierProcessStats after_round1;
+    channel.on_peek = [&] {
+        if (round2 || round_marker.peeks != 1)
+            return;
+        round2 = true; // frame 2 is still queued unchecked
+        after_round1 = verifier.statsFor(kPid);
+    };
+    verifier.poll();
+
+    ASSERT_TRUE(round2);
+    EXPECT_EQ(after_round1.messages, 40u);
+    EXPECT_EQ(after_round1.violations, 0u);
+    EXPECT_EQ(verifier.statsFor(kPid).messages, 80u);
+    EXPECT_EQ(verifier.statsFor(kPid).violations, 1u);
 }
 
 TEST_F(FrameE2eTest, OverLimitPollBatchConfigNeverReachesDecoder)

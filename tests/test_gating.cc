@@ -2,8 +2,9 @@
  * @file
  * Conformance suite for the asynchronous ack path and bounded
  * speculation (DESIGN.md §13): batched epoch acknowledgements, the
- * proactive pre-arm fast path, the speculation window with its barrier
- * syscalls, ack-banking clamps, and the spec_kill audit record.
+ * speculation window with its barrier syscalls, ack-banking clamps,
+ * the spec_kill audit record, and a sharded soak that pins
+ * max_spec_depth <= K for each swept window.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +12,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -153,157 +153,6 @@ TEST(GatingAck, AckBankingIsClampedToOnePipelinedCredit)
 }
 
 // ---------------------------------------------------------------------
-// Proactive pre-arm
-// ---------------------------------------------------------------------
-
-TEST(GatingPreArm, FastPathSkipsWaitAndIsConsumed)
-{
-    KernelModule kernel(shortEpoch());
-    ASSERT_TRUE(kernel.enableProcess(1).isOk());
-    kernel.preArmProcess(1);
-    EXPECT_TRUE(kernel.syscallEnter(1, 1).isOk());
-    EXPECT_EQ(kernel.statsFor(1).waits, 0u);
-    EXPECT_EQ(kernel.statsFor(1).pre_arm_hits, 1u);
-
-    // The pre-arm is a single admission: the next syscall waits again.
-    Status s = kernel.syscallEnter(1, 1, /*spin_fast_path=*/false);
-    EXPECT_FALSE(s.isOk()); // epoch timeout — nothing acked it
-}
-
-TEST(GatingPreArm, BarrierSyscallIgnoresPreArm)
-{
-    // A pre-armed gate must not admit a barrier syscall (execve-like):
-    // barriers always require full ack catch-up.
-    KernelModule kernel(shortEpoch());
-    ASSERT_TRUE(kernel.enableProcess(1).isOk());
-    kernel.preArmProcess(1);
-    Status s = kernel.syscallEnter(1, 59, /*spin_fast_path=*/false);
-    EXPECT_FALSE(s.isOk());
-    EXPECT_EQ(kernel.statsFor(1).epoch_timeouts, 1u);
-}
-
-TEST(GatingPreArm, KilledProcessCannotBePreArmed)
-{
-    KernelModule kernel(shortEpoch());
-    ASSERT_TRUE(kernel.enableProcess(1).isOk());
-    kernel.killProcess(1, "violation");
-    kernel.preArmProcess(1);
-    EXPECT_FALSE(kernel.syscallEnter(1, 1).isOk());
-}
-
-TEST(GatingPreArm, VerifierPreArmsAfterFullDrain)
-{
-    // proactive_acks: a poll that drains the channel to empty pre-arms
-    // the gate, so the NEXT syscall enters without blocking even though
-    // its own sync message has not been processed yet.
-    KernelModule kernel(shortEpoch());
-    auto policy = std::make_shared<PointerIntegrityPolicy>();
-    Verifier::Config config;
-    config.proactive_acks = true;
-    Verifier verifier(kernel, policy, config);
-    ShmChannel channel(64);
-    verifier.attachChannel(&channel, 1);
-    ASSERT_TRUE(kernel.enableProcess(1).isOk());
-
-    channel.send(Message(Opcode::PointerDefine, 0x100, 0xAA));
-    verifier.poll(); // full drain → pre-arm
-    EXPECT_TRUE(kernel.syscallEnter(1, 1).isOk());
-    EXPECT_EQ(kernel.statsFor(1).waits, 0u);
-    EXPECT_EQ(kernel.statsFor(1).pre_arm_hits, 1u);
-}
-
-TEST(GatingPreArm, NoPreArmForViolatedProcess)
-{
-    // The drain that discovers the violation must not pre-arm the gate
-    // it just slammed shut.
-    KernelModule kernel(shortEpoch());
-    auto policy = std::make_shared<PointerIntegrityPolicy>();
-    Verifier::Config config;
-    config.proactive_acks = true;
-    Verifier verifier(kernel, policy, config);
-    ShmChannel channel(64);
-    verifier.attachChannel(&channel, 1);
-    ASSERT_TRUE(kernel.enableProcess(1).isOk());
-
-    channel.send(Message(Opcode::PointerCheck, 0x666, 0x1)); // violation
-    verifier.poll();
-    EXPECT_FALSE(kernel.syscallEnter(1, 1).isOk());
-    EXPECT_EQ(kernel.statsFor(1).pre_arm_hits, 0u);
-}
-
-/** A shared-memory channel that counts the verifier's peeks at it. */
-class PeekCountingChannel : public ShmChannel
-{
-  public:
-    using ShmChannel::ShmChannel;
-
-    bool
-    tryPeekSpan(RecvSpan &out) override
-    {
-        ++peeks;
-        if (on_peek)
-            on_peek();
-        return ShmChannel::tryPeekSpan(out);
-    }
-
-    int peeks = 0;
-    std::function<void()> on_peek;
-};
-
-TEST(GatingPreArm, NoPreArmWhileAFrameStaysQueued)
-{
-    // Two 40-record v2 frames against the default 64-record poll
-    // budget: round 1 checks frame 1 and stops, because frame 2 would
-    // overrun the budget. Frame 2 (which carries a violation) is still
-    // queued unchecked, so round 1 must not pre-arm the gate: a
-    // syscall entered between the rounds has to wait for the verifier.
-    KernelModule::Config kconfig;
-    kconfig.epoch = std::chrono::milliseconds(1);
-    KernelModule kernel(kconfig);
-    Verifier::Config config;
-    config.num_shards = 1;
-    config.proactive_acks = true;
-    config.kill_on_violation = false;
-    Verifier verifier(kernel, std::make_shared<PointerIntegrityPolicy>(),
-                      config);
-    PeekCountingChannel channel(256);
-    ASSERT_TRUE(channel.negotiateFormat(WireFormat::V2));
-    // The verifier peeks each attached channel once per round, in
-    // attach order: once this empty marker has been peeked, round 1 is
-    // over and the next peek at `channel` starts round 2.
-    PeekCountingChannel round_marker(16);
-    verifier.attachChannel(&channel, 1);
-    verifier.attachChannel(&round_marker, 2);
-    ASSERT_TRUE(kernel.enableProcess(1).isOk());
-
-    std::vector<Message> frame1(40, Message(Opcode::PointerCheck, 0x1000,
-                                            0xAAAA));
-    frame1[0] = Message(Opcode::PointerDefine, 0x1000, 0xAAAA);
-    std::vector<Message> frame2 = frame1;
-    frame2[0] = Message(Opcode::PointerCheck, 0x1000, 0xAAAA);
-    frame2[39] = Message(Opcode::PointerCheck, 0x1000, 0xBAD);
-    ASSERT_TRUE(channel.sendBatch(frame1.data(), frame1.size()).isOk());
-    ASSERT_TRUE(channel.sendBatch(frame2.data(), frame2.size()).isOk());
-
-    bool entered = false;
-    std::uint64_t pre_arm_hits = 0;
-    channel.on_peek = [&] {
-        if (entered || round_marker.peeks != 1)
-            return;
-        entered = true; // start of round 2, frame 2 still unchecked
-        kernel.syscallEnter(1, 1 /* write: no barrier */,
-                            /*spin_fast_path=*/false);
-        pre_arm_hits = kernel.statsFor(1).pre_arm_hits;
-    };
-    verifier.poll();
-
-    ASSERT_TRUE(entered);
-    EXPECT_EQ(pre_arm_hits, 0u);
-    EXPECT_EQ(verifier.statsFor(1).messages, 80u);
-    EXPECT_EQ(verifier.statsFor(1).violations, 1u);
-}
-
-// ---------------------------------------------------------------------
 // Bounded speculation
 // ---------------------------------------------------------------------
 
@@ -321,24 +170,42 @@ TEST(GatingSpec, WindowConfigIsClamped)
     EXPECT_EQ(strict.config().speculation_window, 0u);
 }
 
-TEST(GatingSpec, WindowAdmitsAheadOfAcksThenFailsClosed)
+/** Instance name for a swept speculation window: K0, K1, K4. */
+std::string
+windowName(const ::testing::TestParamInfo<std::size_t> &info)
 {
-    // Window 4: exactly four syscalls retire with zero acks; the fifth
-    // exceeds the bound and must be denied within the epoch.
-    KernelModule kernel(shortEpoch(4));
+    return "K" + std::to_string(info.param);
+}
+
+class GatingSpecWindow : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(GatingSpecWindow, AdmitsAheadOfAcksThenFailsClosed)
+{
+    // Window K: exactly K syscalls retire with zero acks; syscall K+1
+    // exceeds the bound and must be denied within the epoch. K = 1 is
+    // the smallest run-ahead: one syscall ahead of its own ack.
+    const std::size_t window = GetParam();
+    KernelModule kernel(shortEpoch(window));
     ASSERT_TRUE(kernel.enableProcess(1).isOk());
-    for (int i = 0; i < 4; ++i)
+    for (std::size_t i = 0; i < window; ++i)
         EXPECT_TRUE(kernel.syscallEnter(1, 1).isOk()) << i;
     EXPECT_EQ(kernel.statsFor(1).waits, 0u);
-    EXPECT_EQ(kernel.statsFor(1).spec_syscalls, 4u);
-    EXPECT_EQ(kernel.statsFor(1).max_spec_depth, 4u);
-    EXPECT_EQ(kernel.speculationDepth(1), 4u);
+    EXPECT_EQ(kernel.statsFor(1).spec_syscalls, window);
+    EXPECT_EQ(kernel.statsFor(1).max_spec_depth, window);
+    EXPECT_EQ(kernel.speculationDepth(1), window);
 
     Status s = kernel.syscallEnter(1, 1, /*spin_fast_path=*/false);
     EXPECT_FALSE(s.isOk());
     EXPECT_EQ(s.code(), StatusCode::PolicyViolation);
     EXPECT_EQ(kernel.statsFor(1).epoch_timeouts, 1u);
+    EXPECT_EQ(kernel.statsFor(1).max_spec_depth, window);
 }
+
+INSTANTIATE_TEST_SUITE_P(Windows, GatingSpecWindow,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}),
+                         windowName);
 
 TEST(GatingSpec, BarrierSyscallEnforcesStrictCatchUp)
 {
@@ -424,11 +291,17 @@ TEST(GatingSpec, StrictKillWritesNoSpecKillRecord)
 // End-to-end: batching + speculation under a sharded verifier
 // ---------------------------------------------------------------------
 
-TEST(GatingSoak, ShardedSpeculativePipelineStaysSound)
+class GatingSoak : public ::testing::TestWithParam<std::size_t>
 {
-    // 4 shards × 8 processes, window 4, proactive acks: every benign
-    // process completes all syscalls with zero violations, and the
+};
+
+TEST_P(GatingSoak, ShardedSpeculativePipelineStaysSound)
+{
+    // 4 shards × 8 processes under window K: every benign process
+    // completes all syscalls with zero violations, no process ever
+    // retires more than K syscalls ahead of its acks, and the
     // telemetry confirms the async path actually engaged.
+    const std::size_t window = GetParam();
     constexpr int kProcs = 8;
     constexpr int kSyscallsPerProc = 64;
 
@@ -437,12 +310,11 @@ TEST(GatingSoak, ShardedSpeculativePipelineStaysSound)
 
     KernelModule::Config kconfig;
     kconfig.epoch = std::chrono::milliseconds(500);
-    kconfig.speculation_window = 4;
+    kconfig.speculation_window = window;
     KernelModule kernel(kconfig);
     auto policy = std::make_shared<PointerIntegrityPolicy>();
     Verifier::Config vconfig;
     vconfig.num_shards = 4;
-    vconfig.proactive_acks = true;
     Verifier verifier(kernel, policy, vconfig);
 
     std::vector<std::unique_ptr<ShmChannel>> channels;
@@ -489,7 +361,7 @@ TEST(GatingSoak, ShardedSpeculativePipelineStaysSound)
         EXPECT_EQ(kernel.statsFor(pid).syscalls,
                   static_cast<std::uint64_t>(kSyscallsPerProc))
             << "pid " << pid;
-        EXPECT_LE(kernel.statsFor(pid).max_spec_depth, 4u)
+        EXPECT_LE(kernel.statsFor(pid).max_spec_depth, window)
             << "pid " << pid;
     }
     // The coalesced-ack path carried the load (every ack goes through
@@ -501,6 +373,11 @@ TEST(GatingSoak, ShardedSpeculativePipelineStaysSound)
     telemetry::setEnabled(false);
     telemetry::Registry::instance().reset();
 }
+
+INSTANTIATE_TEST_SUITE_P(Windows, GatingSoak,
+                         ::testing::Values(std::size_t{0}, std::size_t{1},
+                                           std::size_t{4}),
+                         windowName);
 
 } // namespace
 } // namespace hq

@@ -360,10 +360,29 @@ TEST(FlightRecorder, RequestDumpIsRateLimited)
     flight::setEnabled(true);
     telemetry::emit(Event::DrainBatch);
     for (int i = 0; i < 10; ++i)
-        flight::requestDump("storm");
+        flight::requestDump(Event::Violation);
     const std::string text = readFile(path);
     // Ten triggers inside one second collapse into one dump.
     EXPECT_EQ(countLines(text, "\"type\":\"flight_header\""), 1u);
+    flight::configure("");
+    std::remove(path.c_str());
+}
+
+TEST(FlightRecorder, RateLimitIsPerEventKind)
+{
+    // A short SLO breach dumps first; a violation inside the same
+    // second must still get its own dump, not hide behind the breach's.
+    FlightSandbox sandbox;
+    const std::string path = "flight_perkind_test.jsonl";
+    ASSERT_TRUE(flight::configure(path));
+    flight::setEnabled(true);
+    telemetry::emit(Event::SloBreach, {.arg0 = 300'000, .arg1 = 1});
+    telemetry::emit(Event::Violation, {.pid = 5});
+    telemetry::emit(Event::SloBreach, {.arg0 = 300'000, .arg1 = 1});
+    const std::string text = readFile(path);
+    EXPECT_EQ(countLines(text, "\"type\":\"flight_header\""), 2u);
+    EXPECT_NE(text.find("\"trigger\":\"slo_breach\""), std::string::npos);
+    EXPECT_NE(text.find("\"trigger\":\"violation\""), std::string::npos);
     flight::configure("");
     std::remove(path.c_str());
 }
