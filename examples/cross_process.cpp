@@ -328,6 +328,13 @@ main(int argc, char **argv)
                 std::strtoul(argv[i] + 14, nullptr, 10));
         else if (std::strcmp(argv[i], "--ifc") == 0)
             ifc_enabled = true;
+        else {
+            // A misspelt or retired flag must not quietly run another
+            // mode.
+            std::fprintf(stderr, "cross_process: unknown flag %s\n",
+                         argv[i]);
+            return 2;
+        }
     }
     if (ifc_enabled && duration_secs <= 0) {
         // Label traffic only flows in the streaming pipeline; the

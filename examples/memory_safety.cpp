@@ -88,6 +88,7 @@ runOnce(Bug bug)
           case MemoryViolation::CrossAllocation: kind = "cross-alloc"; break;
           case MemoryViolation::OverlapCreate: kind = "overlap"; break;
           case MemoryViolation::InvalidFree: kind = "invalid-free"; break;
+          case MemoryViolation::AddressWrap: kind = "address-wrap"; break;
           case MemoryViolation::None: break;
         }
     }

@@ -201,8 +201,19 @@ main(int argc, char **argv)
         else if (std::strncmp(argv[i], "--latency-sweep=", 16) == 0) {
             latency_sweep = true;
             sweep_json = argv[i] + 16;
-        } else if (argv[i][0] != '-')
-            scale = std::atof(argv[i]);
+        } else if (argv[i][0] != '-') {
+            char *end = nullptr;
+            scale = std::strtod(argv[i], &end);
+            if (*end != '\0' || !(scale > 0.0)) {
+                std::fprintf(stderr, "nginx_sim: bad scale %s\n", argv[i]);
+                return 2;
+            }
+        } else {
+            // A misspelt or retired flag must not quietly run another
+            // mode.
+            std::fprintf(stderr, "nginx_sim: unknown flag %s\n", argv[i]);
+            return 2;
+        }
     }
 
     if (latency_sweep)

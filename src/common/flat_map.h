@@ -2,28 +2,29 @@
  * @file
  * Open-addressed flat hash map for the verifier's policy hot tables.
  *
- * The per-message policy work is dominated by point lookups into the
- * shadow stores (pointer address -> expected value, allocation base ->
- * size, address -> last writer). node-based std::map/std::unordered_map
- * pay a pointer chase plus an allocation per entry on that path; this
- * map keeps key/value pairs in one contiguous power-of-two array with
- * linear probing, so a lookup is a hash, a masked index, and a short
- * forward scan over adjacent cache lines.
+ * Much of the per-message policy work is point lookups into per-address
+ * tables (address -> label, address -> last writer, pid -> shard).
+ * Node-based std::map/std::unordered_map pay a pointer chase plus an
+ * allocation per entry on that path; this map keeps key/value pairs in
+ * one contiguous power-of-two array with linear probing, so a lookup is
+ * a hash, a masked index, and a short forward scan over adjacent cache
+ * lines.
  *
  * Design points:
  *  - power-of-two capacity (bucket = mixed hash & mask), grown at ~7/8
  *    load factor by rehashing into a doubled array;
  *  - linear probing with *backward-shift* deletion (Knuth 6.4 Algorithm
  *    R): erase re-packs the probe chain instead of leaving tombstones,
- *    so heavy insert/erase churn (pointer invalidation, free()) never
+ *    so heavy insert/erase churn (declassify, re-labelling) never
  *    degrades probe lengths;
  *  - integral keys are mixed with the murmur3 finalizer before masking:
- *    shadow-store keys are 8/16-byte-aligned addresses whose low bits
- *    carry no entropy, and an identity hash would stride the table.
+ *    address keys are 8/16-byte-aligned, so their low bits carry no
+ *    entropy, and an identity hash would stride the table.
  *
- * Iteration order is unspecified (callers that need ranges scan with
- * forEach and filter). References/pointers into the map are invalidated
- * by insert (rehash) and erase (backward shift), like a std::vector.
+ * Iteration order is unspecified, so this map answers no range query;
+ * tables that need address ranges use OrderedMap (common/ordered_map.h).
+ * References/pointers into the map are invalidated by insert (rehash)
+ * and erase (backward shift), like a std::vector.
  */
 
 #ifndef HQ_COMMON_FLAT_MAP_H

@@ -1,7 +1,5 @@
 #include "policy/memory_safety.h"
 
-#include <vector>
-
 #include "common/log.h"
 
 namespace hq {
@@ -18,31 +16,31 @@ MemorySafetyContext::violation(MemoryViolation kind, const Message &message)
 bool
 MemorySafetyContext::findContaining(Addr address, Addr &base_out) const
 {
-    // Live allocations never overlap (enforced on CREATE/EXTEND), so at
-    // most one interval can contain the address; a full scan suffices.
-    bool found = false;
-    Addr base = 0;
-    _allocations.forEach([&](Addr alloc_base, std::uint64_t size) {
-        if (address >= alloc_base && address < alloc_base + size) {
-            found = true;
-            base = alloc_base;
-        }
-    });
-    base_out = base;
-    return found;
+    // Non-empty live allocations never overlap (enforced on CREATE/
+    // EXTEND), so the only candidate is the nearest non-empty one at or
+    // below address. Zero-size allocations contain nothing; step past
+    // any that sit in between.
+    auto alloc = _allocations.floor(address);
+    while (alloc && alloc->value == 0 && alloc->key != 0)
+        alloc = _allocations.floor(alloc->key - 1);
+    if (!alloc || address - alloc->key >= alloc->value)
+        return false;
+    base_out = alloc->key;
+    return true;
 }
 
 bool
-MemorySafetyContext::overlapsExisting(Addr base, std::uint64_t size) const
+MemorySafetyContext::overlapsExisting(Addr base, Addr last) const
 {
-    if (size == 0)
+    // [base, last] overlaps a live allocation when one contains base, or
+    // when any allocation (even an empty one) starts inside (base, last].
+    Addr containing;
+    if (findContaining(base, containing))
+        return true;
+    if (base == last)
         return false;
-    bool overlaps = false;
-    _allocations.forEach([&](Addr alloc_base, std::uint64_t alloc_size) {
-        if (alloc_base < base + size && base < alloc_base + alloc_size)
-            overlaps = true;
-    });
-    return overlaps;
+    const auto next = _allocations.lowerBound(base + 1);
+    return next && next->key <= last;
 }
 
 bool
@@ -69,9 +67,14 @@ MemorySafetyContext::handleMessage(const Message &message)
       case Opcode::AllocCreate: {
         const Addr base = message.arg0;
         const std::uint64_t size = message.arg1;
-        if (overlapsExisting(base, size))
-            return violation(MemoryViolation::OverlapCreate, message);
-        _allocations[base] = size;
+        if (size != 0) {
+            Addr last;
+            if (!rangeLast(base, size, last))
+                return violation(MemoryViolation::AddressWrap, message);
+            if (overlapsExisting(base, last))
+                return violation(MemoryViolation::OverlapCreate, message);
+        }
+        _allocations.insertOrAssign(base, size);
         return Status::ok();
       }
 
@@ -100,11 +103,15 @@ MemorySafetyContext::handleMessage(const Message &message)
         _pending_block_size = 0;
         if (!_allocations.erase(src))
             return violation(MemoryViolation::InvalidFree, message);
-        if (overlapsExisting(dst, size)) {
-            // Reinstate nothing: the extend target is invalid.
-            return violation(MemoryViolation::OverlapCreate, message);
+        // Reinstate nothing when the extend target is invalid.
+        if (size != 0) {
+            Addr last;
+            if (!rangeLast(dst, size, last))
+                return violation(MemoryViolation::AddressWrap, message);
+            if (overlapsExisting(dst, last))
+                return violation(MemoryViolation::OverlapCreate, message);
         }
-        _allocations[dst] = size;
+        _allocations.insertOrAssign(dst, size);
         return Status::ok();
       }
 
@@ -114,16 +121,11 @@ MemorySafetyContext::handleMessage(const Message &message)
         return Status::ok();
 
       case Opcode::AllocDestroyAll: {
-        const Addr base = message.arg0;
-        const std::uint64_t size = message.arg1;
-        std::vector<Addr> stale;
-        _allocations.forEach([&](Addr alloc_base, std::uint64_t) {
-            if (alloc_base >= base && alloc_base < base + size)
-                stale.push_back(alloc_base);
-        });
-        for (Addr alloc_base : stale)
-            _allocations.erase(alloc_base);
-        if (stale.empty())
+        if (message.arg1 == 0)
+            return violation(MemoryViolation::InvalidFree, message);
+        Addr last;
+        rangeLast(message.arg0, message.arg1, last); // clamps a wrap
+        if (_allocations.eraseRange(message.arg0, last) == 0)
             return violation(MemoryViolation::InvalidFree, message);
         return Status::ok();
       }

@@ -5,6 +5,8 @@
  * Enforces spatial safety (accesses stay inside their allocation) and
  * temporal safety (the allocation is still live) by tracking allocation
  * creation, access checks, extension, and destruction in an interval map.
+ * An allocation never wraps: one whose end would pass the top of the
+ * address space is a violation.
  */
 
 #ifndef HQ_POLICY_MEMORY_SAFETY_H
@@ -12,7 +14,7 @@
 
 #include <cstdint>
 
-#include "common/flat_map.h"
+#include "common/ordered_map.h"
 #include "policy/policy.h"
 
 namespace hq {
@@ -24,6 +26,7 @@ enum class MemoryViolation {
     CrossAllocation, //!< two addresses in different allocations
     OverlapCreate,   //!< new allocation overlaps a live one
     InvalidFree,     //!< destroy of a non-allocation (or double free)
+    AddressWrap,     //!< create/extend runs past the top address
 };
 
 class MemorySafetyContext : public PolicyContext
@@ -45,21 +48,22 @@ class MemorySafetyContext : public PolicyContext
     Status violation(MemoryViolation kind, const Message &message);
 
     /**
-     * Base of the live allocation containing address.
+     * Base of the live allocation containing address. O(log n), plus
+     * one predecessor lookup per zero-size allocation between address
+     * and the nearest non-empty base below it.
      * @return true and sets base_out when found.
      */
     bool findContaining(Addr address, Addr &base_out) const;
 
-    /** True when [base, base+size) overlaps a live allocation. */
-    bool overlapsExisting(Addr base, std::uint64_t size) const;
+    /** True when [base, last] overlaps a live allocation. */
+    bool overlapsExisting(Addr base, Addr last) const;
 
     Pid _pid;
-    /// base address -> size of each live allocation. Open-addressed flat
-    /// map: the hot opcodes (CREATE/DESTROY/EXTEND) are exact-base point
-    /// lookups; the containment/overlap checks scan the table, which is
-    /// cheap at the table sizes the §5.4 workloads reach (≈10²) and keeps
-    /// the common path allocation- and pointer-chase-free.
-    FlatMap<Addr, std::uint64_t> _allocations;
+    /// base address -> size of each live allocation, ordered by base:
+    /// CREATE/DESTROY/EXTEND are exact-base point operations, containment
+    /// is a predecessor lookup, overlap a predecessor plus a successor,
+    /// and DESTROY-ALL a range erase.
+    OrderedMap<Addr, std::uint64_t> _allocations;
     std::uint64_t _pending_block_size = 0;
     MemoryViolation _last_violation = MemoryViolation::None;
     std::uint64_t _violations = 0;

@@ -5,13 +5,12 @@ namespace hq {
 int
 MemoryTaggingContext::tagOf(Addr address) const
 {
-    auto it = _regions.upper_bound(address);
-    if (it == _regions.begin())
+    const auto region = _regions.floor(address);
+    Addr last;
+    if (!region || !rangeLast(region->key, region->value.size, last) ||
+        address > last)
         return -1;
-    --it;
-    if (address >= it->first && address < it->first + it->second.size)
-        return it->second.tag;
-    return -1;
+    return region->value.tag;
 }
 
 Status
@@ -27,7 +26,7 @@ MemoryTaggingContext::handleMessage(const Message &message)
             _regions.erase(message.arg0);
             return Status::ok();
         }
-        _regions[message.arg0] = region;
+        _regions.insertOrAssign(message.arg0, region);
         return Status::ok();
       }
 

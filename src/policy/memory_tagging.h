@@ -7,15 +7,16 @@
  *
  * Unlike hardware MTE's 4-bit tags and 16-byte granules, the verifier
  * keeps exact region extents, so tag reuse does not create the usual
- * 1-in-16 false-negative probability within a region.
+ * 1-in-16 false-negative probability within a region. A region whose
+ * extent would wrap past the top of the address space tags nothing.
  */
 
 #ifndef HQ_POLICY_MEMORY_TAGGING_H
 #define HQ_POLICY_MEMORY_TAGGING_H
 
 #include <cstdint>
-#include <map>
 
+#include "common/ordered_map.h"
 #include "policy/policy.h"
 
 namespace hq {
@@ -42,7 +43,9 @@ class MemoryTaggingContext : public PolicyContext
     };
 
     Pid _pid;
-    std::map<Addr, Region> _regions;
+    /// region base -> extent and tag; an access resolves to the region
+    /// with the nearest base at or below it.
+    OrderedMap<Addr, Region> _regions;
     std::uint64_t _violations = 0;
 };
 

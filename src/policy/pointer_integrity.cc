@@ -55,7 +55,7 @@ PointerIntegrityContext::handleMessage(const Message &message)
         return Status::ok();
 
       case Opcode::PointerDefine:
-        _pointers[message.arg0] = message.arg1;
+        _pointers.insertOrAssign(message.arg0, message.arg1);
         notePeak();
         return Status::ok();
 
@@ -86,44 +86,36 @@ PointerIntegrityContext::handleMessage(const Message &message)
         _pending_block_size = 0;
         if (size == 0)
             return Status::ok();
+        Addr src_last, dst_last;
+        if (!rangeLast(src, size, src_last) ||
+            !rangeLast(dst, size, dst_last))
+            return violation(PointerViolation::AddressWrap, message);
 
-        // Block operations are rare (memcpy/realloc boundaries) and the
-        // shadow store is small, so a full scan replaces the ordered
-        // range queries the old std::map offered. Collect first, then
-        // mutate: erase invalidates scan positions, and source and
-        // destination ranges may intersect for COPY.
+        // Snapshot the source before erasing anything: for COPY the
+        // source and destination ranges may intersect.
         std::vector<std::pair<Addr, std::uint64_t>> moved;
-        std::vector<Addr> stale;
-        _pointers.forEach([&](Addr addr, std::uint64_t value) {
-            if (addr >= src && addr < src + size) {
-                moved.emplace_back(dst + (addr - src), value);
-                // MOVE removes the originals (realloc frees the source).
-                if (message.op == Opcode::PointerBlockMove)
-                    stale.push_back(addr);
-            }
-            // Pre-existing pointers in the destination are invalidated:
-            // the raw bytes there were overwritten.
-            if (addr >= dst && addr < dst + size)
-                stale.push_back(addr);
+        _pointers.forRange(src, src_last, [&](Addr addr, std::uint64_t value) {
+            moved.emplace_back(dst + (addr - src), value);
         });
-        for (Addr addr : stale)
-            _pointers.erase(addr);
+        // MOVE removes the originals (realloc frees the source), and
+        // pre-existing pointers in the destination are invalidated: the
+        // raw bytes there were overwritten.
+        if (message.op == Opcode::PointerBlockMove)
+            _pointers.eraseRange(src, src_last);
+        _pointers.eraseRange(dst, dst_last);
         for (const auto &[addr, value] : moved)
-            _pointers[addr] = value;
+            _pointers.insertOrAssign(addr, value);
         notePeak();
         return Status::ok();
       }
 
       case Opcode::PointerBlockInvalidate: {
-        const Addr base = message.arg0;
         const std::uint64_t size = message.arg1;
-        std::vector<Addr> stale;
-        _pointers.forEach([&](Addr addr, std::uint64_t) {
-            if (addr >= base && addr < base + size)
-                stale.push_back(addr);
-        });
-        for (Addr addr : stale)
-            _pointers.erase(addr);
+        if (size == 0)
+            return Status::ok();
+        Addr last;
+        rangeLast(message.arg0, size, last); // clamps a wrapping end
+        _pointers.eraseRange(message.arg0, last);
         return Status::ok();
       }
 

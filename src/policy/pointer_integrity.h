@@ -13,7 +13,9 @@
  *
  * Block operations mirror the memcpy/memmove/realloc/free semantics of
  * §4.1.3: pointers move with the bytes that contain them and pre-existing
- * destination pointers are invalidated.
+ * destination pointers are invalidated. Ranges never wrap: an invalidate
+ * clamps at the top of the address space, and a copy or move whose
+ * source or destination would wrap is a violation.
  */
 
 #ifndef HQ_POLICY_POINTER_INTEGRITY_H
@@ -21,7 +23,7 @@
 
 #include <cstdint>
 
-#include "common/flat_map.h"
+#include "common/ordered_map.h"
 #include "common/stats.h"
 #include "policy/policy.h"
 
@@ -33,6 +35,7 @@ enum class PointerViolation {
     Corrupted,    //!< value differs from the shadow copy
     UseAfterFree, //!< checked pointer was previously invalidated
     Integrity,    //!< transport-integrity failure (dropped message)
+    AddressWrap,  //!< block copy/move range runs past the top address
 };
 
 class PointerIntegrityContext : public PolicyContext
@@ -44,25 +47,6 @@ class PointerIntegrityContext : public PolicyContext
     std::unique_ptr<PolicyContext> cloneForChild(Pid child) const override;
     std::size_t entryCount() const override { return _pointers.size(); }
     const char *violationFamily() const override { return "cfi"; }
-
-    /** Prefetch the shadow-store buckets a drained batch will probe
-     *  (point-lookup opcodes only; block operations scan anyway). */
-    void
-    prefetchBatch(const Message *messages, std::size_t count) override
-    {
-        for (std::size_t i = 0; i < count; ++i) {
-            switch (messages[i].op) {
-              case Opcode::PointerDefine:
-              case Opcode::PointerCheck:
-              case Opcode::PointerInvalidate:
-              case Opcode::PointerCheckInvalidate:
-                _pointers.prefetch(messages[i].arg0);
-                break;
-              default:
-                break;
-            }
-        }
-    }
 
     /** Kind of the most recent violation (for tests and RIPE harness). */
     PointerViolation lastViolation() const { return _last_violation; }
@@ -81,12 +65,13 @@ class PointerIntegrityContext : public PolicyContext
     void notePeak();
 
     Pid _pid;
-    /// Shadow pointer store: address -> expected value. Open-addressed
-    /// flat map: DEFINE/CHECK/INVALIDATE (the per-message hot path) are
-    /// point lookups; the rare block operations (memcpy/realloc/free
-    /// boundaries) scan the table instead of using ordered ranges, which
-    /// is cheap at observed shadow-store sizes (§5.4: low hundreds).
-    FlatMap<Addr, std::uint64_t> _pointers;
+    /// Shadow pointer store: address -> expected value. DEFINE/CHECK/
+    /// INVALIDATE (the per-message hot path) are point lookups; block
+    /// operations (memcpy/realloc/free boundaries) walk and erase only
+    /// the entries inside their address range, so their cost follows
+    /// the pointers they move, not the table size (§5.4 tables reach
+    /// thousands of entries).
+    OrderedMap<Addr, std::uint64_t> _pointers;
     std::uint64_t _pending_block_size = 0;
     PointerViolation _last_violation = PointerViolation::None;
     std::uint64_t _violations = 0;

@@ -146,6 +146,41 @@ TEST_F(PointerIntegrityTest, BlockInvalidateClearsRange)
     EXPECT_TRUE(ctx.handleMessage(msg(Opcode::PointerCheck, 0x120, 0xCC)));
 }
 
+TEST_F(PointerIntegrityTest, BlockInvalidateAtTopClampsInsteadOfWrapping)
+{
+    // [2^64-16, 2^64+16) would wrap to end at 16: the invalidate must
+    // clamp at the top of the address space, not erase nothing.
+    const Addr top = kMaxAddr;
+    ctx.handleMessage(msg(Opcode::PointerDefine, top - 7, 0xAA));
+    ctx.handleMessage(msg(Opcode::PointerDefine, 0x8, 0xBB));
+    EXPECT_TRUE(
+        ctx.handleMessage(msg(Opcode::PointerBlockInvalidate, top - 15, 32)));
+    EXPECT_FALSE(ctx.handleMessage(msg(Opcode::PointerCheck, top - 7, 0xAA)));
+    EXPECT_EQ(ctx.lastViolation(), PointerViolation::UseAfterFree);
+    // The clamped range does not wrap round to the bottom.
+    EXPECT_TRUE(ctx.handleMessage(msg(Opcode::PointerCheck, 0x8, 0xBB)));
+}
+
+TEST_F(PointerIntegrityTest, BlockCopyOrMoveThatWrapsIsViolation)
+{
+    const Addr top = kMaxAddr;
+    ctx.handleMessage(msg(Opcode::PointerDefine, top - 7, 0xAA));
+    ctx.handleMessage(msg(Opcode::BlockSize, 32));
+    EXPECT_FALSE(
+        ctx.handleMessage(msg(Opcode::PointerBlockMove, top - 15, 0x1000)));
+    EXPECT_EQ(ctx.lastViolation(), PointerViolation::AddressWrap);
+    ctx.handleMessage(msg(Opcode::BlockSize, 32));
+    EXPECT_FALSE(
+        ctx.handleMessage(msg(Opcode::PointerBlockCopy, 0x1000, top - 15)));
+    EXPECT_EQ(ctx.lastViolation(), PointerViolation::AddressWrap);
+    // A range ending exactly at the top does not wrap.
+    ctx.handleMessage(msg(Opcode::BlockSize, 8));
+    EXPECT_TRUE(
+        ctx.handleMessage(msg(Opcode::PointerBlockMove, top - 7, 0x2000)));
+    EXPECT_TRUE(ctx.handleMessage(msg(Opcode::PointerCheck, 0x2000, 0xAA)));
+    EXPECT_EQ(ctx.entryCount(), 1u);
+}
+
 TEST_F(PointerIntegrityTest, ZeroSizeBlockCopyIsNoop)
 {
     ctx.handleMessage(msg(Opcode::PointerDefine, 0x100, 0xAA));
@@ -288,6 +323,46 @@ TEST_F(MemorySafetyTest, DestroyAllOfEmptyRangeIsViolation)
 {
     EXPECT_FALSE(
         ctx.handleMessage(msg(Opcode::AllocDestroyAll, 0x1000, 0x100)));
+}
+
+TEST_F(MemorySafetyTest, CreateWhoseEndWrapsIsViolation)
+{
+    // [2^64-16, 2^64+16) would wrap to end at 16 and so miss the live
+    // allocation at 2^64-8; it must be refused instead.
+    const Addr top = kMaxAddr;
+    EXPECT_TRUE(ctx.handleMessage(msg(Opcode::AllocCreate, top - 7, 8)));
+    EXPECT_FALSE(ctx.handleMessage(msg(Opcode::AllocCreate, top - 15, 32)));
+    EXPECT_EQ(ctx.lastViolation(), MemoryViolation::AddressWrap);
+    EXPECT_EQ(ctx.entryCount(), 1u);
+    // The allocation ending exactly at the top is live to its last byte.
+    EXPECT_TRUE(ctx.handleMessage(msg(Opcode::AllocCheck, top)));
+    EXPECT_FALSE(ctx.handleMessage(msg(Opcode::AllocCheck, top - 8)));
+}
+
+TEST_F(MemorySafetyTest, ExtendWhoseEndWrapsIsViolation)
+{
+    ctx.handleMessage(msg(Opcode::AllocCreate, 0x1000, 0x10));
+    ctx.handleMessage(msg(Opcode::BlockSize, 0x20));
+    EXPECT_FALSE(
+        ctx.handleMessage(msg(Opcode::AllocExtend, 0x1000, kMaxAddr - 0xF)));
+    EXPECT_EQ(ctx.lastViolation(), MemoryViolation::AddressWrap);
+    EXPECT_EQ(ctx.entryCount(), 0u);
+}
+
+TEST_F(MemorySafetyTest, RunOfZeroSizeAllocationsDoesNotHideContainer)
+{
+    // malloc(0) results contain nothing: an access check steps past a
+    // run of them (here spanning several leaves) to the live allocation
+    // below, and finds none once that allocation is gone.
+    ctx.handleMessage(msg(Opcode::AllocCreate, 0x1000, 0x100));
+    for (Addr base = 0x1080; base < 0x1100; ++base)
+        ASSERT_TRUE(ctx.handleMessage(msg(Opcode::AllocCreate, base, 0)));
+    EXPECT_TRUE(ctx.handleMessage(msg(Opcode::AllocCheck, 0x10FF)));
+    EXPECT_FALSE(ctx.handleMessage(msg(Opcode::AllocCheck, 0x1100)));
+    EXPECT_TRUE(ctx.handleMessage(msg(Opcode::AllocDestroy, 0x1000)));
+    EXPECT_FALSE(ctx.handleMessage(msg(Opcode::AllocCheck, 0x10FF)));
+    EXPECT_EQ(ctx.lastViolation(), MemoryViolation::OutOfBounds);
+    EXPECT_EQ(ctx.entryCount(), 0x80u);
 }
 
 TEST_F(MemorySafetyTest, CloneForChildCopiesAllocations)

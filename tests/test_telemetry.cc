@@ -610,8 +610,15 @@ TEST(VerifierIntegration, IdleEventLoopBacksOffToSleep)
     const std::uint64_t before = counter.value();
     verifier.start();
     // No traffic: after the bounded spin window the loop must start
-    // sleeping rather than burning the core.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    // sleeping rather than burning the core. The window is 64 yields,
+    // and each can give the core away for a whole time slice on a
+    // loaded host, so wait for the first nap under a generous deadline
+    // instead of a fixed sleep.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (counter.value() == before &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     verifier.stop();
     EXPECT_GT(counter.value(), before);
 }
