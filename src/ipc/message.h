@@ -151,9 +151,9 @@ static_assert(sizeof(Message) == 32, "Message must be a 32-byte structure");
  * CRC32 (reflected, poly 0xEDB88320) over the first 28 bytes of the
  * wire format — everything except `pad`, which carries the checksum
  * itself. Software channels stamp it in Channel::send; the FPGA AFU
- * restamps after assigning pid/seq. A verifier running with
- * Config::check_crc treats a mismatch as a CorruptMsg violation and
- * refuses to interpret the payload (fail closed).
+ * restamps after assigning pid/seq. The verifier checks it in the v1
+ * decode step of its drain: a mismatch is a CorruptMsg violation and
+ * the payload is never interpreted (fail closed).
  */
 std::uint32_t messageCrc(const Message &message);
 

@@ -396,11 +396,28 @@ Verifier::drainChannel(Shard &shard, ChannelEntry &entry, Message *scratch,
     while (span.total() != 0 && records < batch_max) {
         std::size_t slots;
         if (!framed) {
-            // v1: the next contiguous run of self-checking messages,
-            // checked where they sit.
-            slots = std::min(span.seg[0].count, batch_max - records);
-            processBatch(shard, entry, span.seg[0].data, slots, false);
-            records += slots;
+            // v1: the CRC-clean prefix of the next contiguous run,
+            // checked where it sits.
+            const Message *run = span.seg[0].data;
+            const std::size_t limit =
+                std::min(span.seg[0].count, batch_max - records);
+            slots = 0;
+            while (slots < limit && run[slots].pad == messageCrc(run[slots]))
+                ++slots;
+            if (slots != 0) {
+                processBatch(shard, entry, run, slots);
+                records += slots;
+            } else {
+                // Bits flipped in flight: fail closed without trusting
+                // any field, not even the pid. Drop exactly this slot
+                // and advance the record cursor past it so lag matching
+                // stays aligned with the sender's stamping.
+                recordCorruption(entry,
+                                 "message corruption detected (CRC mismatch)",
+                                 run[0]);
+                slots = 1;
+                entry.recv_index += 1;
+            }
         } else {
             frame::FrameView view;
             const frame::DecodeStatus status =
@@ -412,16 +429,14 @@ Verifier::drainChannel(Shard &shard, ChannelEntry &entry, Message *scratch,
                 // record the corruption, drop exactly one slot, resync
                 // on the next. A garbage run yields one CorruptMsg per
                 // slot — noisy, but never a silent accept.
-                recordFrameCorruption(entry,
-                                      "frame header rejected (v2 decode)");
+                recordCorruption(entry, "frame header rejected (v2 decode)");
                 slots = 1;
             } else if (status == frame::DecodeStatus::BadBody) {
                 // Authentic header, corrupt records: skip the frame
                 // whole — never partially applied — and advance the
                 // record cursor by the header's count so lag matching
                 // stays aligned with the sender's per-record stamping.
-                recordFrameCorruption(entry,
-                                      "frame body CRC mismatch (v2 decode)");
+                recordCorruption(entry, "frame body CRC mismatch (v2 decode)");
                 slots = view.slots;
                 entry.recv_index += view.count;
             } else {
@@ -432,7 +447,7 @@ Verifier::drainChannel(Shard &shard, ChannelEntry &entry, Message *scratch,
                 if (records != 0 && records + view.count > batch_max)
                     break;
                 frame::unpackAll(span, view, scratch);
-                processBatch(shard, entry, scratch, view.count, true);
+                processBatch(shard, entry, scratch, view.count);
                 slots = view.slots;
                 records += view.count;
             }
@@ -447,8 +462,7 @@ Verifier::drainChannel(Shard &shard, ChannelEntry &entry, Message *scratch,
 
 void
 Verifier::processBatch(Shard &shard, ChannelEntry &entry,
-                       const Message *batch, std::size_t n,
-                       bool crc_trusted)
+                       const Message *batch, std::size_t n)
 {
     // One telemetry scope per batch: a single clock-read pair and one
     // histogram lock record the amortized per-message latency n times
@@ -488,8 +502,7 @@ Verifier::processBatch(Shard &shard, ChannelEntry &entry,
         }
         for (std::size_t i = 0; i < n; ++i) {
             handleMessage(shard, entry, batch[i], memo,
-                          telemetry_on ? lag_ns[i] : kNoLag,
-                          crc_trusted);
+                          telemetry_on ? lag_ns[i] : kNoLag);
             if (_crashed.load(std::memory_order_relaxed))
                 break; // messages behind the crash are lost
         }
@@ -509,14 +522,15 @@ Verifier::processBatch(Shard &shard, ChannelEntry &entry,
 }
 
 void
-Verifier::recordFrameCorruption(ChannelEntry &entry, const char *reason)
+Verifier::recordCorruption(ChannelEntry &entry, const char *reason,
+                           const Message &message)
 {
     PidMemo memo;
     ProcessEntry *owner = lookupProcess(entry.owner, memo);
     if (owner == nullptr || owner->exited)
         return;
-    recordViolation(memo.home_shard, entry.owner, *owner, reason,
-                    Message{}, telemetry::Event::CorruptMsg, kNoLag);
+    recordViolation(memo.home_shard, entry.owner, *owner, reason, message,
+                    telemetry::Event::CorruptMsg, kNoLag);
 }
 
 void
@@ -621,7 +635,7 @@ Verifier::lookupProcess(Pid pid, PidMemo &memo)
 void
 Verifier::handleMessage(Shard &shard, ChannelEntry &entry,
                         const Message &message, PidMemo &memo,
-                        std::uint64_t lag_ns, bool crc_trusted)
+                        std::uint64_t lag_ns)
 {
     if (_crashed.load(std::memory_order_relaxed))
         return;
@@ -633,24 +647,6 @@ Verifier::handleMessage(Shard &shard, ChannelEntry &entry,
         _running.store(false, std::memory_order_relaxed);
         logWarn("verifier: injected crash while handling message ",
                 message.toString());
-        return;
-    }
-
-    // Integrity guard before anything trusts the payload: a CRC
-    // mismatch means bits flipped in flight, and a corrupted message
-    // must never be interpreted — not even its pid field. Attribute it
-    // to the channel's registered owner and fail closed (no processing,
-    // no syscall ack). v2 records skip this: their integrity was
-    // established by the frame CRCs and their pad is zero by unpacking.
-    if (_config.check_crc && !crc_trusted &&
-        message.pad != messageCrc(message)) {
-        ProcessEntry *owner = lookupProcess(entry.owner, memo);
-        if (owner != nullptr && !owner->exited) {
-            recordViolation(memo.home_shard, entry.owner, *owner,
-                            "message corruption detected (CRC mismatch)",
-                            message, telemetry::Event::CorruptMsg,
-                            lag_ns);
-        }
         return;
     }
 
@@ -676,17 +672,13 @@ Verifier::handleMessage(Shard &shard, ChannelEntry &entry,
     // program must be terminated. The first message observed on a
     // channel establishes the baseline, so a restarted verifier resyncs
     // to the live stream instead of reporting a spurious gap.
-    if (_config.check_sequence) {
-        if (entry.seq_started &&
-            message.seq != entry.expected_seq) {
-            recordViolation(memo.home_shard, pid, process,
-                            "message sequence gap: integrity violated",
-                            message, telemetry::Event::SeqGap,
-                            lag_ns);
-        }
-        entry.seq_started = true;
-        entry.expected_seq = message.seq + 1;
+    if (entry.seq_started && message.seq != entry.expected_seq) {
+        recordViolation(memo.home_shard, pid, process,
+                        "message sequence gap: integrity violated", message,
+                        telemetry::Event::SeqGap, lag_ns);
     }
+    entry.seq_started = true;
+    entry.expected_seq = message.seq + 1;
 
     const Status status = process.context->handleMessage(message);
     if (!status.isOk())

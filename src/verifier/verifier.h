@@ -21,6 +21,13 @@
  * for any pid, so their poller resolves the pid's home shard by the
  * same hash and processes against that shard's state.
  *
+ * Integrity is always checked, whatever the configuration: the drain's
+ * decode step rejects any v1 message whose CRC guard mismatches and any
+ * v2 frame whose header or body CRC mismatches (CorruptMsg, never
+ * interpreted), and every message's sequence counter must follow its
+ * predecessor's on the channel (SeqGap otherwise) — the paper's AFU
+ * drop detection, applied to every transport.
+ *
  * By default monitored programs are killed upon policy violation, but —
  * as in the paper's evaluation, which continues execution to count false
  * positives — this behavior is configurable.
@@ -72,22 +79,6 @@ class Verifier : public ProcessEventListener
     {
         /** Ask the kernel to kill the process on a violation. */
         bool kill_on_violation = true;
-        /**
-         * Verify consecutive per-channel sequence counters. The FPGA
-         * AFU stamps its own device counter; software channels are
-         * stamped by the Channel::send wrapper — either way a gap or
-         * repeat means messages were dropped or duplicated in flight.
-         */
-        bool check_sequence = false;
-        /**
-         * Verify the per-message CRC guard (Message::pad, stamped by
-         * Channel::send / the AFU). A mismatch is a CorruptMsg
-         * violation and the payload is never interpreted (fail
-         * closed) — so a flipped bit cannot be mis-verified as a valid
-         * policy message. Off by default: only chaos/fault runs and
-         * integrity tests need it.
-         */
-        bool check_crc = false;
         /**
          * Kill still-running monitored processes when the verifier
          * terminates (the paper's default for unexpected verifier
@@ -376,30 +367,34 @@ class Verifier : public ProcessEventListener
     /**
      * Drain at most one poll-batch from a channel: peek its queued
      * slots once, then decode, check and consume them run by run in
-     * place — a v1 run is a contiguous stretch of self-checking
-     * messages, a v2 run is one frame (decoded, unpacked into scratch,
-     * CRC-trusted; corrupt frames fail closed).
+     * place. Decoding is where integrity is decided for both wire
+     * formats: a v1 run is the CRC-clean prefix of a contiguous
+     * stretch of messages, a v2 run is one frame whose header and body
+     * CRCs matched (decoded and unpacked into scratch). A corrupt v1
+     * message or v2 frame is recorded and skipped, never interpreted.
      * @return number of messages (records) processed.
      */
     std::size_t drainChannel(Shard &shard, ChannelEntry &entry,
                              Message *scratch, std::size_t batch_max);
     /**
-     * Feed n already-validated-or-self-checking messages drained from
-     * entry through lag matching, policy prefetch, and handleMessage;
-     * advances entry.recv_index and the batch telemetry. n must be > 0.
-     * @param crc_trusted integrity was established at frame granularity
-     *        (v2), so the per-message CRC check must not run — unpacked
-     *        records carry pad == 0 by construction.
+     * Feed n integrity-checked messages drained from entry through lag
+     * matching, policy prefetch, and handleMessage; advances
+     * entry.recv_index and the batch telemetry. n must be > 0.
      */
     void processBatch(Shard &shard, ChannelEntry &entry,
-                      const Message *batch, std::size_t n,
-                      bool crc_trusted);
-    /** CorruptMsg violation for a frame that failed decode, attributed
-     *  to the channel's registered owner (fail closed, no payload). */
-    void recordFrameCorruption(ChannelEntry &entry, const char *reason);
+                      const Message *batch, std::size_t n);
+    /**
+     * CorruptMsg violation for a message or frame that failed its CRC
+     * check in the decode step, attributed to the channel's registered
+     * owner (fail closed: nothing of it is interpreted, not even its
+     * pid). `message` is the offending v1 message, or an empty one for
+     * a v2 frame.
+     */
+    void recordCorruption(ChannelEntry &entry, const char *reason,
+                          const Message &message = Message{});
     void handleMessage(Shard &shard, ChannelEntry &entry,
                        const Message &message, PidMemo &memo,
-                       std::uint64_t lag_ns, bool crc_trusted);
+                       std::uint64_t lag_ns);
     /** Queue one syscall ack on the polling shard (drain_mutex held). */
     void queueAck(Shard &shard, Pid pid);
     /**

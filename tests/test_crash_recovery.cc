@@ -45,11 +45,10 @@ fastEpochConfig()
 }
 
 Verifier::Config
-checkingConfig()
+noKillConfig()
 {
     Verifier::Config config;
     config.kill_on_violation = false;
-    config.check_sequence = true;
     return config;
 }
 
@@ -64,7 +63,7 @@ TEST_F(CrashRecoveryTest, CrashAtMessageNStopsAllProcessing)
 {
     KernelModule kernel(fastEpochConfig());
     auto policy = std::make_shared<PointerIntegrityPolicy>();
-    Verifier verifier(kernel, policy, checkingConfig());
+    Verifier verifier(kernel, policy, noKillConfig());
     kernel.enableProcess(kPid);
     ShmChannel channel(1 << 10);
     verifier.attachChannel(&channel, kPid);
@@ -91,7 +90,7 @@ TEST_F(CrashRecoveryTest, SyscallAfterCrashIsDeniedWithinEpochTimeout)
 {
     KernelModule kernel(fastEpochConfig());
     auto policy = std::make_shared<PointerIntegrityPolicy>();
-    Verifier verifier(kernel, policy, checkingConfig());
+    Verifier verifier(kernel, policy, noKillConfig());
     kernel.enableProcess(kPid);
     ShmChannel channel(1 << 10);
     verifier.attachChannel(&channel, kPid);
@@ -123,7 +122,7 @@ TEST_F(CrashRecoveryTest, RestartReplaysReattachesAndResyncsSequence)
     ShmChannel channel(1 << 10);
 
     auto crashed = std::make_unique<Verifier>(kernel, policy,
-                                              checkingConfig());
+                                              noKillConfig());
     kernel.enableProcess(kPid); // delivered to `crashed` (the listener)
     crashed->attachChannel(&channel, kPid);
     fi::FaultPlan::instance().arm(fi::Site::VerifierCrash, 1.0,
@@ -139,7 +138,7 @@ TEST_F(CrashRecoveryTest, RestartReplaysReattachesAndResyncsSequence)
     // Restart: a new verifier takes over the kernel listener slot,
     // rebuilds per-process policy contexts from the kernel's live set,
     // and re-attaches the same channel.
-    Verifier restarted(kernel, policy, checkingConfig());
+    Verifier restarted(kernel, policy, noKillConfig());
     EXPECT_EQ(kernel.replayProcessesTo(&restarted), 1u);
     restarted.attachChannel(&channel, kPid);
 
@@ -180,7 +179,7 @@ TEST_F(CrashRecoveryTest, ReplayEmitsVerifierRestartRecord)
     KernelModule kernel(fastEpochConfig());
     auto policy = std::make_shared<PointerIntegrityPolicy>();
     kernel.enableProcess(kPid);
-    Verifier restarted(kernel, policy, checkingConfig());
+    Verifier restarted(kernel, policy, noKillConfig());
     EXPECT_EQ(kernel.replayProcessesTo(&restarted), 1u);
     telemetry::EventLog::instance().close();
 
@@ -200,7 +199,7 @@ TEST_F(CrashRecoveryTest, StopAndDestroyAfterCrashInEventLoopIsSafe)
     kernel.enableProcess(kPid);
     ShmChannel channel(1 << 10);
     {
-        Verifier verifier(kernel, policy, checkingConfig());
+        Verifier verifier(kernel, policy, noKillConfig());
         verifier.attachChannel(&channel, kPid);
         verifier.start();
 
@@ -228,7 +227,7 @@ TEST_F(CrashRecoveryTest, KillOnVerifierExitKillsProcessesAfterCrash)
 {
     KernelModule kernel(fastEpochConfig());
     auto policy = std::make_shared<PointerIntegrityPolicy>();
-    Verifier::Config config = checkingConfig();
+    Verifier::Config config = noKillConfig();
     config.kill_on_verifier_exit = true;
     Verifier verifier(kernel, policy, config);
     kernel.enableProcess(kPid);
@@ -264,7 +263,7 @@ TEST_F(CrashRecoveryTest, CrashDropsPendingBatchedAcksFailClosed)
     // syscall nobody fully validated.
     KernelModule kernel(fastEpochConfig());
     auto policy = std::make_shared<PointerIntegrityPolicy>();
-    Verifier verifier(kernel, policy, checkingConfig());
+    Verifier verifier(kernel, policy, noKillConfig());
     kernel.enableProcess(kPid);
     ShmChannel channel(1 << 10);
     verifier.attachChannel(&channel, kPid);
@@ -299,7 +298,7 @@ TEST_F(CrashRecoveryTest, SpeculationDepthSurvivesCrashAndReplay)
     ShmChannel channel(1 << 10);
 
     auto crashed = std::make_unique<Verifier>(kernel, policy,
-                                              checkingConfig());
+                                              noKillConfig());
     kernel.enableProcess(kPid);
     crashed->attachChannel(&channel, kPid);
 
@@ -320,7 +319,7 @@ TEST_F(CrashRecoveryTest, SpeculationDepthSurvivesCrashAndReplay)
 
     // Restart and replay: the carried-over depth is visible to the new
     // verifier via the kernel, and fresh sync messages drain it.
-    Verifier restarted(kernel, policy, checkingConfig());
+    Verifier restarted(kernel, policy, noKillConfig());
     EXPECT_EQ(kernel.replayProcessesTo(&restarted), 1u);
     restarted.attachChannel(&channel, kPid);
     EXPECT_EQ(kernel.speculationDepth(kPid), 2u)
@@ -399,7 +398,7 @@ TEST_F(CrashRecoveryTest, IfcLabelTableReconstructsBitIdenticallyOnReplay)
     std::vector<std::pair<Addr, std::uint64_t>> reference_table;
     {
         KernelModule kernel(fastEpochConfig());
-        Verifier verifier(kernel, cfiPlusIfcPolicy(), checkingConfig());
+        Verifier verifier(kernel, cfiPlusIfcPolicy(), noKillConfig());
         kernel.enableProcess(kPid);
         ShmChannel channel(1 << 10);
         verifier.attachChannel(&channel, kPid);
@@ -418,7 +417,7 @@ TEST_F(CrashRecoveryTest, IfcLabelTableReconstructsBitIdenticallyOnReplay)
     KernelModule kernel(fastEpochConfig());
     ShmChannel channel(1 << 10);
     auto crashed = std::make_unique<Verifier>(kernel, cfiPlusIfcPolicy(),
-                                              checkingConfig());
+                                              noKillConfig());
     kernel.enableProcess(kPid);
     crashed->attachChannel(&channel, kPid);
     fi::FaultPlan::instance().arm(fi::Site::VerifierCrash, 1.0,
@@ -437,7 +436,7 @@ TEST_F(CrashRecoveryTest, IfcLabelTableReconstructsBitIdenticallyOnReplay)
     // Restart: fresh contexts via the kernel's replay, then the sender
     // republishes its label state (the runtime knows every definition it
     // made; reconstruction = replaying them onto the empty slice).
-    Verifier restarted(kernel, cfiPlusIfcPolicy(), checkingConfig());
+    Verifier restarted(kernel, cfiPlusIfcPolicy(), noKillConfig());
     EXPECT_EQ(kernel.replayProcessesTo(&restarted), 1u);
     restarted.attachChannel(&channel, kPid);
     IfcContext *rebuilt = ifcContextOf(restarted, kPid);
@@ -468,7 +467,7 @@ TEST_F(CrashRecoveryTest, IfcReplayConvergesFromAnyCrashPoint)
     std::uint64_t reference_fingerprint = 0;
     {
         KernelModule kernel(fastEpochConfig());
-        Verifier verifier(kernel, cfiPlusIfcPolicy(), checkingConfig());
+        Verifier verifier(kernel, cfiPlusIfcPolicy(), noKillConfig());
         kernel.enableProcess(kPid);
         ShmChannel channel(1 << 10);
         verifier.attachChannel(&channel, kPid);
@@ -484,7 +483,7 @@ TEST_F(CrashRecoveryTest, IfcReplayConvergesFromAnyCrashPoint)
         KernelModule kernel(fastEpochConfig());
         ShmChannel channel(1 << 10);
         auto crashed = std::make_unique<Verifier>(
-            kernel, cfiPlusIfcPolicy(), checkingConfig());
+            kernel, cfiPlusIfcPolicy(), noKillConfig());
         kernel.enableProcess(kPid);
         crashed->attachChannel(&channel, kPid);
         fi::FaultPlan::instance().arm(fi::Site::VerifierCrash, 1.0,
@@ -495,7 +494,7 @@ TEST_F(CrashRecoveryTest, IfcReplayConvergesFromAnyCrashPoint)
         ASSERT_TRUE(crashed->crashed()) << "crash_at=" << crash_at;
         fi::disarmAll();
 
-        Verifier restarted(kernel, cfiPlusIfcPolicy(), checkingConfig());
+        Verifier restarted(kernel, cfiPlusIfcPolicy(), noKillConfig());
         ASSERT_EQ(kernel.replayProcessesTo(&restarted), 1u);
         restarted.attachChannel(&channel, kPid);
         for (const Message &message : stream)

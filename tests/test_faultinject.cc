@@ -69,8 +69,6 @@ struct Harness
     {
         Verifier::Config config;
         config.kill_on_violation = false;
-        config.check_sequence = true;
-        config.check_crc = true;
         return config;
     }
 };
@@ -259,6 +257,8 @@ TEST_F(FaultInjectTest, RingDuplicateIsDetectedAsSequenceRepeat)
 
 TEST_F(FaultInjectTest, RingCorruptionIsDetectedByCrcAndNotInterpreted)
 {
+    // Telemetry on so the lag sidecar stamps one envelope per send.
+    telemetry::setEnabled(true);
     Harness harness;
     fi::FaultPlan::instance().arm(fi::Site::RingCorrupt, 1.0,
                                   /*after_n=*/5, /*max_fires=*/1);
@@ -273,6 +273,12 @@ TEST_F(FaultInjectTest, RingCorruptionIsDetectedByCrcAndNotInterpreted)
     // The corrupted message must never reach the policy: 19 clean
     // messages processed, the 20th rejected before interpretation.
     EXPECT_EQ(stats.messages, 19u);
+    // The decode step stepped the record cursor past the corrupt slot,
+    // so every later message matched its own envelope and none is
+    // left behind.
+    const telemetry::LagSidecar *sidecar = harness.channel.lagSidecar();
+    ASSERT_NE(sidecar, nullptr);
+    EXPECT_EQ(sidecar->pending(), 0u);
 }
 
 TEST_F(FaultInjectTest, RingStallSurfacesBackpressureAndRecovers)
@@ -359,7 +365,6 @@ TEST_F(FaultInjectTest, AfuOverflowDropsAreCountedAndFlaggedAsSeqGap)
     auto policy = std::make_shared<PointerIntegrityPolicy>();
     Verifier::Config config;
     config.kill_on_violation = false;
-    config.check_sequence = true;
     Verifier verifier(kernel, policy, config);
     kernel.enableProcess(kPid);
 
@@ -510,32 +515,6 @@ TEST_F(FaultInjectTest, AuditPassesWhenDropsAreDetected)
     ASSERT_GE(harness.verifier->statsFor(kPid).violations, 1u);
     EXPECT_EQ(fi::emitAuditRecords(), 0)
         << "detected drops must not be reported as silent accepts";
-}
-
-TEST_F(FaultInjectTest, AuditFlagsUndetectedDropsAsSilentAccepts)
-{
-    telemetry::setEnabled(true);
-    // A verifier with *no* integrity checking: drops vanish silently.
-    KernelModule kernel;
-    auto policy = std::make_shared<PointerIntegrityPolicy>();
-    Verifier::Config config;
-    config.kill_on_violation = false;
-    Verifier verifier(kernel, policy, config);
-    kernel.enableProcess(kPid);
-    ShmChannel channel(1 << 10);
-    verifier.attachChannel(&channel, kPid);
-
-    fi::FaultPlan::instance().arm(fi::Site::RingDrop, 1.0, /*after_n=*/5,
-                                  /*max_fires=*/1);
-    fi::captureDetectorBaselines();
-    for (int i = 0; i < 20; ++i)
-        ASSERT_TRUE(
-            channel.send(Message(Opcode::PointerDefine, 0x600 + i, i))
-                .isOk());
-    verifier.poll();
-    ASSERT_EQ(verifier.statsFor(kPid).violations, 0u);
-    EXPECT_EQ(fi::emitAuditRecords(), 1)
-        << "an undetected drop must be reported as a silent accept";
 }
 
 TEST_F(FaultInjectTest, AuditWritesSilentAcceptRecordsToTheEventLog)

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -222,54 +221,6 @@ TEST(FlatMap, CopyIsIndependent)
     EXPECT_EQ(copy.find(5), nullptr);
     EXPECT_EQ(map.size(), 64u);
     EXPECT_EQ(copy.size(), 64u);
-}
-
-TEST(FlatMap, FindBatchMatchesScalarFind)
-{
-    FlatMap<std::uint64_t, std::uint64_t> map;
-    std::mt19937_64 rng(0xBA7C4);
-    std::vector<std::uint64_t> keys;
-    for (int i = 0; i < 500; ++i) {
-        const std::uint64_t key = rng();
-        map.insertOrAssign(key, key ^ 0x5555);
-        keys.push_back(key);
-    }
-    // Mix in misses and duplicates — the batched probe must behave
-    // exactly like find() on every element, in order.
-    for (int i = 0; i < 100; ++i)
-        keys.push_back(rng());
-    keys.push_back(keys[0]);
-    std::shuffle(keys.begin(), keys.end(), rng);
-
-    std::vector<std::uint64_t *> out(keys.size());
-    map.findBatch(keys.data(), keys.size(), out.data());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        std::uint64_t *scalar = map.find(keys[i]);
-        EXPECT_EQ(out[i], scalar) << "i=" << i;
-        if (scalar != nullptr)
-            EXPECT_EQ(*out[i], keys[i] ^ 0x5555);
-    }
-}
-
-TEST(FlatMap, FindBatchHandlesEmptyAndOddSizes)
-{
-    FlatMap<std::uint64_t, std::uint64_t> map;
-    map.findBatch(nullptr, 0, nullptr); // no-op, must not touch out
-
-    map.insertOrAssign(1, 10);
-    // Sizes around the internal prefetch stride (16).
-    for (std::size_t n : {std::size_t{1}, std::size_t{15}, std::size_t{16},
-                          std::size_t{17}, std::size_t{33}}) {
-        std::vector<std::uint64_t> keys(n, 1);
-        keys.back() = 999; // miss in the final lane
-        std::vector<std::uint64_t *> out(n);
-        map.findBatch(keys.data(), n, out.data());
-        for (std::size_t i = 0; i + 1 < n; ++i) {
-            ASSERT_NE(out[i], nullptr);
-            EXPECT_EQ(*out[i], 10u);
-        }
-        EXPECT_EQ(out[n - 1], n > 1 ? nullptr : out[0]);
-    }
 }
 
 TEST(FlatMap, PrefetchIsPureHint)

@@ -509,8 +509,6 @@ struct Harness
     {
         Verifier::Config config;
         config.kill_on_violation = false;
-        config.check_sequence = true;
-        config.check_crc = true;
         verifier = std::make_unique<Verifier>(kernel, policy, config);
         if (format != WireFormat::V1) {
             EXPECT_TRUE(channel.negotiateFormat(format));

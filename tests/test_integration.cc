@@ -85,9 +85,7 @@ TEST(Integration, FpgaTransportEndToEndWithSequenceCheck)
 
     KernelModule kernel;
     auto policy = std::make_shared<PointerIntegrityPolicy>();
-    Verifier::Config vconfig;
-    vconfig.check_sequence = true;
-    Verifier verifier(kernel, policy, vconfig);
+    Verifier verifier(kernel, policy);
 
     FpgaConfig fpga_config;
     fpga_config.host_buffer_messages = 1 << 14;

@@ -69,8 +69,12 @@ TEST(Kernel, SyscallResumesAfterVerifierAck)
     EXPECT_TRUE(kernel.syscallEnter(1, 42).isOk());
 
     // The sync variable is consumed: the next syscall must wait again.
+    // The acker resumes only once the gate is really waiting (`waits`
+    // is bumped under the bucket lock before the cv wait), so the ack
+    // can never overtake the gate however the threads are scheduled.
     std::thread acker([&kernel] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        while (kernel.statsFor(1).waits == 0)
+            std::this_thread::yield();
         kernel.syscallResume(1);
     });
     EXPECT_TRUE(kernel.syscallEnter(1, 43).isOk());
@@ -241,7 +245,6 @@ TEST(Verifier, SequenceGapIsIntegrityViolation)
 {
     VerifierFixture fx;
     Verifier::Config config;
-    config.check_sequence = true;
     config.kill_on_violation = false;
     Verifier verifier(fx.kernel, fx.policy, config);
 
@@ -451,7 +454,6 @@ TEST(Verifier, SequenceGapDetectedUnderBatchedDrain)
     // polls: batching must not mask a sequence gap.
     VerifierFixture fx;
     Verifier::Config config;
-    config.check_sequence = true;
     config.kill_on_violation = false;
     config.poll_batch = Verifier::kMaxPollBatch;
     Verifier verifier(fx.kernel, fx.policy, config);
@@ -626,8 +628,6 @@ runParityStream(const ParityCase &param)
     KernelModule kernel;
     Verifier::Config config;
     config.num_shards = 1;
-    config.check_sequence = true;
-    config.check_crc = true;
     config.kill_on_violation = false;
     Verifier verifier(kernel, std::make_shared<PointerIntegrityPolicy>(),
                       config);
