@@ -3,14 +3,15 @@
  * Microbenchmark — SPSC ring throughput, single-message vs batched.
  *
  * Measures the AppendWrite fast path in isolation: one producer thread
- * and one consumer thread moving messages through an SpscRing (the
- * buffer behind the FPGA host buffer and the MODEL's appendable memory
- * region). Batch size 1 exercises tryPush/tryPop; larger batches use
- * tryPushBatch/tryPopBatch, which amortize the cross-core cursor
- * synchronization — one acquire-load and one release-store — over the
- * whole batch. The consumer verifies that every message arrives exactly
- * once and in order, so the numbers cannot come at the cost of the
- * AppendWrite ordering guarantees.
+ * and one consumer thread moving messages through an SpscRing (the one
+ * slot ring, behind the FPGA host buffer, the MODEL's appendable memory
+ * region and the shared-memory channels). The consumer drains the way
+ * the verifier does: peekSpan lends up to `batch` queued slots in place
+ * and consume releases them, one acquire-load and one release-store per
+ * batch. Batch size 1 pushes with tryPush; larger batches publish with
+ * tryPushAll, one release-store per batch. The consumer verifies that
+ * every message arrives exactly once and in order, so the numbers
+ * cannot come at the cost of the AppendWrite ordering guarantees.
  *
  * A second sweep measures the *verified pipeline*: a producer doing
  * batched sends through a ShmChannel into a real Verifier (CRC and
@@ -29,6 +30,7 @@
  *   --telemetry[...]   standard telemetry flags (handleBenchArgs)
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -58,7 +60,34 @@ struct RunResult
     bool ok = false;
 };
 
-/** Push total messages with the given batch size; verify on the popper. */
+/**
+ * Consumer side of a run: check up to `batch` slots per peek in place
+ * and release them. @return false on a lost, repeated or reordered
+ * message.
+ */
+bool
+drainInOrder(SpscRing &ring, std::uint64_t total, std::size_t batch)
+{
+    std::uint64_t expected = 0;
+    while (expected < total) {
+        RecvSpan span;
+        if (!ring.peekSpan(span)) {
+            std::this_thread::yield();
+            continue;
+        }
+        const std::size_t n = std::min(batch, span.total());
+        for (std::size_t i = 0; i < n; ++i) {
+            if (span.slot(i).arg0 != expected)
+                return false;
+            ++expected;
+        }
+        ring.consume(n);
+    }
+    return true;
+}
+
+/** Push total messages with the given batch size; verify on the
+ *  consumer. */
 RunResult
 runOnce(std::size_t capacity, std::size_t total, std::size_t batch)
 {
@@ -66,27 +95,8 @@ runOnce(std::size_t capacity, std::size_t total, std::size_t batch)
     bool order_ok = true;
 
     Timer timer;
-    std::thread consumer([&] {
-        Message buffer[kMaxBatch];
-        std::uint64_t expected = 0;
-        while (expected < total) {
-            std::size_t n;
-            if (batch == 1) {
-                n = ring.tryPop(buffer[0]) ? 1 : 0;
-            } else {
-                n = ring.tryPopBatch(buffer, batch);
-            }
-            for (std::size_t i = 0; i < n; ++i) {
-                if (buffer[i].arg0 != expected) {
-                    order_ok = false;
-                    return;
-                }
-                ++expected;
-            }
-            if (n == 0)
-                std::this_thread::yield();
-        }
-    });
+    std::thread consumer(
+        [&] { order_ok = drainInOrder(ring, total, batch); });
 
     Message scratch[kMaxBatch];
     for (auto &message : scratch) {
@@ -100,21 +110,14 @@ runOnce(std::size_t capacity, std::size_t total, std::size_t batch)
                                                total - sent);
         for (std::size_t i = 0; i < want; ++i)
             scratch[i].arg0 = sent + i;
-        std::size_t pushed = 0;
         if (batch == 1) {
             while (!ring.tryPush(scratch[0]))
                 std::this_thread::yield();
-            pushed = 1;
         } else {
-            while (pushed < want) {
-                const std::size_t n =
-                    ring.tryPushBatch(scratch + pushed, want - pushed);
-                if (n == 0)
-                    std::this_thread::yield();
-                pushed += n;
-            }
+            while (!ring.tryPushAll(scratch, want))
+                std::this_thread::yield();
         }
-        sent += pushed;
+        sent += want;
     }
     consumer.join();
     RunResult result;
@@ -144,20 +147,7 @@ runMultiRing(std::size_t capacity, std::size_t per_ring,
     for (std::size_t r = 0; r < rings; ++r) {
         SpscRing &ring = *ring_ptrs[r];
         threads.emplace_back([&ring, &ok, r, per_ring] {
-            Message buffer[kMaxBatch];
-            std::uint64_t expected = 0;
-            while (expected < per_ring) {
-                const std::size_t n = ring.tryPopBatch(buffer, kBatch);
-                for (std::size_t i = 0; i < n; ++i) {
-                    if (buffer[i].arg0 != expected) {
-                        ok[r] = 0;
-                        return;
-                    }
-                    ++expected;
-                }
-                if (n == 0)
-                    std::this_thread::yield();
-            }
+            ok[r] = drainInOrder(ring, per_ring, kBatch);
         });
         threads.emplace_back([&ring, per_ring] {
             Message scratch[kMaxBatch];
@@ -173,15 +163,9 @@ runMultiRing(std::size_t capacity, std::size_t per_ring,
                         : static_cast<std::size_t>(per_ring - sent);
                 for (std::size_t i = 0; i < want; ++i)
                     scratch[i].arg0 = sent + i;
-                std::size_t pushed = 0;
-                while (pushed < want) {
-                    const std::size_t n = ring.tryPushBatch(
-                        scratch + pushed, want - pushed);
-                    if (n == 0)
-                        std::this_thread::yield();
-                    pushed += n;
-                }
-                sent += pushed;
+                while (!ring.tryPushAll(scratch, want))
+                    std::this_thread::yield();
+                sent += want;
             }
         });
     }

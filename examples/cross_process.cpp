@@ -373,10 +373,6 @@ main(int argc, char **argv)
     }
 
     XprocChannel channel(1 << 10);
-    if (!channel.valid()) {
-        std::printf("shared mapping unavailable; skipping\n");
-        return 0;
-    }
     return duration_secs > 0
                ? runStreaming(channel, duration_secs, num_shards, format,
                               health_enabled, spec_window, ifc_enabled)

@@ -473,8 +473,7 @@ counterValue(const char *name)
 // deltas against that baseline.
 constexpr const char *kDetectorCounters[] = {
     "verifier.violations", "kernel.epoch_timeouts", "fpga.dropped",
-    "ipc.ring_push_fail",  "ipc.xproc_full_waits",  "ipc.send_errors",
-    "ipc.send_retries",
+    "ipc.ring_push_fail",  "ipc.send_errors",       "ipc.send_retries",
 };
 constexpr std::size_t kNumDetectorCounters =
     sizeof(kDetectorCounters) / sizeof(kDetectorCounters[0]);
@@ -521,8 +520,7 @@ emitAuditRecords()
         {Site::RingCorrupt,
          {"verifier.violations", "kernel.epoch_timeouts", nullptr}},
         {Site::RingStall,
-         {"ipc.ring_push_fail", "ipc.xproc_full_waits", "ipc.send_errors",
-          nullptr}},
+         {"ipc.ring_push_fail", "ipc.send_errors", nullptr}},
         {Site::TransportError,
          {"ipc.send_retries", "ipc.send_errors", nullptr}},
         {Site::AfuOverflow,

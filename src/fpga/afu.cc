@@ -123,10 +123,4 @@ FpgaAfu::setPidRegister(Pid pid)
     _pid_register.store(pid, std::memory_order_relaxed);
 }
 
-bool
-FpgaAfu::hostRead(Message &out)
-{
-    return _host_buffer.tryPop(out);
-}
-
 } // namespace hq

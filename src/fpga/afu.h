@@ -71,15 +71,17 @@ class FpgaAfu
     /** Kernel context-switch hook: load the PID register. */
     void setPidRegister(Pid pid);
 
-    /** Verifier-side read from the host circular buffer. */
-    bool hostRead(Message &out);
-
     /**
-     * Zero-copy host read: view the queued writeback slots in place
-     * (the pinned buffer is the verifier's own mapping) and release
-     * them with hostConsume() only after they verify.
+     * Verifier-side read from the host circular buffer: view the
+     * queued writeback slots in place (the pinned buffer is the
+     * verifier's own mapping) and release them with hostConsume() only
+     * after they verify.
      */
-    std::size_t hostPeekSpan(RecvSpan &out) { return _host_buffer.peekSpan(out); }
+    PeekResult
+    hostPeekSpan(RecvSpan &out)
+    {
+        return _host_buffer.peekSpan(out);
+    }
 
     /** Release the first count slots of the last hostPeekSpan() view. */
     void hostConsume(std::size_t count) { _host_buffer.consume(count); }

@@ -26,9 +26,9 @@ class FpgaChannel : public Channel
     /// The device stamps one self-checking v1 message per slot, so the
     /// channel stays v1-only — but the verifier can still validate
     /// those messages in place in the pinned host buffer.
-    bool tryPeekSpan(RecvSpan &out) override
+    PeekResult tryPeekSpan(RecvSpan &out) override
     {
-        return _afu.hostPeekSpan(out) != 0;
+        return _afu.hostPeekSpan(out);
     }
     void consumeSlots(std::size_t count) override
     {

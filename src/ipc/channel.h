@@ -123,15 +123,16 @@ class Channel
      * peek with no consume in between starts with the same slots. The
      * verifier checks records where they sit — v1 CRC checks, v2 frame
      * decode — and releases them only afterwards, so corrupt data is
-     * never copied into trusted state first. The base (a send-only
+     * never copied into trusted state first. A ring-backed transport
+     * reports BadCursor, and lends nothing from then on, when the
+     * producer's cursor is out of range. The base (a send-only
      * transport) has nothing queued.
-     * @return false when nothing is queued.
      */
-    virtual bool
+    virtual PeekResult
     tryPeekSpan(RecvSpan &out)
     {
         out = RecvSpan{};
-        return false;
+        return PeekResult::Empty;
     }
 
     /**

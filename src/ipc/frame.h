@@ -88,6 +88,26 @@ struct RecvSpan
     }
 };
 
+/**
+ * What a receive-side peek found (Channel::tryPeekSpan,
+ * SpscRing::peekSpan). Tests true only when slots were lent, so
+ * `if (!channel.tryPeekSpan(span))` reads "nothing to check".
+ */
+struct PeekResult
+{
+    enum Kind : std::uint8_t {
+        Empty,     //!< nothing queued
+        Ready,     //!< queued slots are lent in the span
+        BadCursor, //!< the producer's cursor is out of range: nothing
+                   //!< is lent, now or on any later peek
+    };
+    Kind kind;
+
+    constexpr PeekResult(Kind k) : kind(k) {} // NOLINT: implicit
+
+    explicit constexpr operator bool() const { return kind == Ready; }
+};
+
 namespace frame {
 
 /** First header word; doubles as the v1/v2 discriminator in debugging. */

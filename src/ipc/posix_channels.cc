@@ -67,7 +67,7 @@ retryBudgetExhausted(const char *transport)
 // PosixChannel
 // ---------------------------------------------------------------------
 
-bool
+PeekResult
 PosixChannel::tryPeekSpan(RecvSpan &out)
 {
     std::size_t buffered = _buffered.load(std::memory_order_relaxed);
@@ -79,7 +79,7 @@ PosixChannel::tryPeekSpan(RecvSpan &out)
     }
     out = RecvSpan{};
     out.seg[0] = {_buffer + _head, buffered};
-    return buffered != 0;
+    return buffered != 0 ? PeekResult::Ready : PeekResult::Empty;
 }
 
 void

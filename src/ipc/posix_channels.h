@@ -27,7 +27,7 @@ namespace hq {
 class PosixChannel : public Channel
 {
   public:
-    bool tryPeekSpan(RecvSpan &out) final;
+    PeekResult tryPeekSpan(RecvSpan &out) final;
     void consumeSlots(std::size_t count) final;
     /** Buffered-but-unconsumed plus still kernel-side messages. */
     std::size_t pending() const final;

@@ -1,6 +1,9 @@
 #include "ipc/spsc_ring.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <new>
 #include <type_traits>
 
 #include "common/bits.h"
@@ -12,16 +15,58 @@ namespace hq {
 namespace {
 
 static_assert(std::is_trivially_copyable_v<Message>,
-              "batch transfer memcpys Message runs");
+              "frame publication memcpys Message runs");
+static_assert(sizeof(SpscRing::SharedCursors) % alignof(Message) == 0,
+              "slots follow the shared cursors");
 
 HQ_TELEMETRY_HANDLE(occupancyGauge, Gauge, "ipc.ring_occupancy")
 HQ_TELEMETRY_HANDLE(pushFailCounter, Counter, "ipc.ring_push_fail")
 
+std::size_t
+slotCount(std::size_t min_capacity)
+{
+    return roundUpPow2(min_capacity ? min_capacity : 1);
+}
+
+/** The first cache line boundary at or after p. */
+void *
+lineAligned(unsigned char *p)
+{
+    return reinterpret_cast<void *>(
+        (reinterpret_cast<std::uintptr_t>(p) + 63) & ~std::uintptr_t{63});
+}
+
+SpscRing::SharedCursors *
+placeCursors(void *region)
+{
+    auto *shared = new (region) SpscRing::SharedCursors;
+    shared->tail.store(0, std::memory_order_relaxed);
+    shared->head.store(0, std::memory_order_relaxed);
+    return shared;
+}
+
 } // namespace
 
+std::size_t
+SpscRing::regionBytes(std::size_t capacity)
+{
+    return sizeof(SharedCursors) + slotCount(capacity) * sizeof(Message);
+}
+
+// A plain zeroed allocation with 63 spare bytes, aligned by hand: with
+// over-aligned operator new, peak RSS grew as rings were built and freed.
 SpscRing::SpscRing(std::size_t min_capacity)
-    : _slots(roundUpPow2(min_capacity ? min_capacity : 1)),
-      _mask(_slots.size() - 1)
+    : _owned(new unsigned char[regionBytes(min_capacity) + 63]()),
+      _shared(placeCursors(lineAligned(_owned.get()))),
+      _slots(reinterpret_cast<Message *>(_shared + 1)),
+      _mask(slotCount(min_capacity) - 1)
+{
+}
+
+SpscRing::SpscRing(void *region, std::size_t min_capacity)
+    : _shared(placeCursors(region)),
+      _slots(reinterpret_cast<Message *>(_shared + 1)),
+      _mask(slotCount(min_capacity) - 1)
 {
 }
 
@@ -36,12 +81,12 @@ SpscRing::tryPush(const Message &message)
 bool
 SpscRing::pushSlot(const Message &message)
 {
-    const std::uint64_t tail = _tail.load(std::memory_order_relaxed);
+    const std::uint64_t tail = _tail;
     if (tail - _cached_head > _mask) {
         // Apparently full: refresh the cached consumer cursor. This is
         // the only cross-core load on the push path, and it happens at
         // most once per drain instead of once per message.
-        _cached_head = _head.load(std::memory_order_acquire);
+        _cached_head = _shared->head.load(std::memory_order_acquire);
         if (tail - _cached_head > _mask) {
             if (telemetry::enabled())
                 pushFailCounter().inc();
@@ -49,7 +94,8 @@ SpscRing::pushSlot(const Message &message)
         }
     }
     _slots[tail & _mask] = message;
-    _tail.store(tail + 1, std::memory_order_release);
+    _tail = tail + 1;
+    _shared->tail.store(tail + 1, std::memory_order_release);
     if (telemetry::enabled())
         occupancyGauge().set(tail + 1 - _cached_head);
     return true;
@@ -79,47 +125,6 @@ SpscRing::pushWithFaults(const Message &message)
     return true;
 }
 
-std::size_t
-SpscRing::tryPushBatch(const Message *messages, std::size_t count)
-{
-    if (count == 0)
-        return 0;
-    if (faultinject::armed()) {
-        // Degrade to per-message pushes so every message passes through
-        // the injection points individually.
-        std::size_t pushed = 0;
-        while (pushed < count && pushWithFaults(messages[pushed]))
-            ++pushed;
-        return pushed;
-    }
-    const std::uint64_t tail = _tail.load(std::memory_order_relaxed);
-    std::uint64_t free_slots = capacity() - (tail - _cached_head);
-    if (free_slots < count) {
-        _cached_head = _head.load(std::memory_order_acquire);
-        free_slots = capacity() - (tail - _cached_head);
-        if (free_slots == 0) {
-            if (telemetry::enabled())
-                pushFailCounter().inc();
-            return 0;
-        }
-    }
-    const std::size_t n =
-        count < free_slots ? count : static_cast<std::size_t>(free_slots);
-
-    // At most two contiguous runs (around the wrap point).
-    const std::size_t start = static_cast<std::size_t>(tail & _mask);
-    const std::size_t first = std::min(n, capacity() - start);
-    std::memcpy(_slots.data() + start, messages, first * sizeof(Message));
-    if (n > first)
-        std::memcpy(_slots.data(), messages + first,
-                    (n - first) * sizeof(Message));
-
-    _tail.store(tail + n, std::memory_order_release);
-    if (telemetry::enabled())
-        occupancyGauge().set(tail + n - _cached_head);
-    return n;
-}
-
 bool
 SpscRing::tryPushAll(const Message *slots, std::size_t count)
 {
@@ -137,12 +142,10 @@ SpscRing::tryPushAll(const Message *slots, std::size_t count)
             pushFailCounter().inc();
         return false;
     }
-    const std::uint64_t tail = _tail.load(std::memory_order_relaxed);
-    std::uint64_t free_slots = capacity() - (tail - _cached_head);
-    if (free_slots < count) {
-        _cached_head = _head.load(std::memory_order_acquire);
-        free_slots = capacity() - (tail - _cached_head);
-        if (free_slots < count) {
+    const std::uint64_t tail = _tail;
+    if (capacity() - (tail - _cached_head) < count) {
+        _cached_head = _shared->head.load(std::memory_order_acquire);
+        if (capacity() - (tail - _cached_head) < count) {
             if (telemetry::enabled())
                 pushFailCounter().inc();
             return false;
@@ -151,96 +154,62 @@ SpscRing::tryPushAll(const Message *slots, std::size_t count)
 
     const std::size_t start = static_cast<std::size_t>(tail & _mask);
     const std::size_t first = std::min(count, capacity() - start);
-    std::memcpy(_slots.data() + start, slots, first * sizeof(Message));
+    std::memcpy(_slots + start, slots, first * sizeof(Message));
     if (count > first)
-        std::memcpy(_slots.data(), slots + first,
-                    (count - first) * sizeof(Message));
+        std::memcpy(_slots, slots + first, (count - first) * sizeof(Message));
 
-    _tail.store(tail + count, std::memory_order_release);
+    _tail = tail + count;
+    _shared->tail.store(tail + count, std::memory_order_release);
     if (telemetry::enabled())
         occupancyGauge().set(tail + count - _cached_head);
     return true;
 }
 
-bool
-SpscRing::tryPop(Message &out)
-{
-    const std::uint64_t head = _head.load(std::memory_order_relaxed);
-    if (head == _cached_tail) {
-        // Apparently empty: refresh the cached producer cursor (the only
-        // cross-core load on the pop path).
-        _cached_tail = _tail.load(std::memory_order_acquire);
-        if (head == _cached_tail)
-            return false; // genuinely empty
-    }
-    out = _slots[head & _mask];
-    _head.store(head + 1, std::memory_order_release);
-    return true;
-}
-
-std::size_t
-SpscRing::tryPopBatch(Message *out, std::size_t max_count)
-{
-    if (max_count == 0)
-        return 0;
-    const std::uint64_t head = _head.load(std::memory_order_relaxed);
-    std::uint64_t available = _cached_tail - head;
-    if (available < max_count) {
-        _cached_tail = _tail.load(std::memory_order_acquire);
-        available = _cached_tail - head;
-        if (available == 0)
-            return 0;
-    }
-    const std::size_t n = max_count < available
-                              ? max_count
-                              : static_cast<std::size_t>(available);
-
-    const std::size_t start = static_cast<std::size_t>(head & _mask);
-    const std::size_t first = std::min(n, capacity() - start);
-    std::memcpy(out, _slots.data() + start, first * sizeof(Message));
-    if (n > first)
-        std::memcpy(out + first, _slots.data(),
-                    (n - first) * sizeof(Message));
-
-    _head.store(head + n, std::memory_order_release);
-    return n;
-}
-
-std::size_t
+PeekResult
 SpscRing::peekSpan(RecvSpan &out)
 {
-    out.seg[0] = {};
-    out.seg[1] = {};
+    out = RecvSpan{};
+    if (_bad_cursor)
+        return PeekResult::BadCursor;
     const std::uint64_t head = _head.load(std::memory_order_relaxed);
-    // One acquire load per drain poll — the same cross-core cost the
-    // copying pop paid, but the slot bytes themselves are not moved.
-    _cached_tail = _tail.load(std::memory_order_acquire);
-    const std::uint64_t available = _cached_tail - head;
-    if (available == 0)
-        return 0;
+    // The producer cursor is the one word this side reads from the
+    // other, and a producer holding the mapping can write anything
+    // there: read it once and fail closed, never clamp, when it moved
+    // backwards or claims more than a full ring. (Since head <=
+    // _cached_tail, passing the first test keeps tail - head exact.)
+    const std::uint64_t tail =
+        _shared->tail.load(std::memory_order_acquire);
+    if (tail < _cached_tail || tail - head > capacity()) {
+        _bad_cursor = true;
+        return PeekResult::BadCursor;
+    }
+    _cached_tail = tail;
+    if (tail == head)
+        return PeekResult::Empty;
 
-    const std::size_t n = static_cast<std::size_t>(available);
+    const std::size_t n = static_cast<std::size_t>(tail - head);
     const std::size_t start = static_cast<std::size_t>(head & _mask);
     const std::size_t first = std::min(n, capacity() - start);
-    out.seg[0] = {_slots.data() + start, first};
+    out.seg[0] = {_slots + start, first};
     if (n > first)
-        out.seg[1] = {_slots.data(), n - first};
-    return n;
+        out.seg[1] = {_slots, n - first};
+    return PeekResult::Ready;
 }
 
 void
 SpscRing::consume(std::size_t count)
 {
-    const std::uint64_t head = _head.load(std::memory_order_relaxed);
-    _head.store(head + count, std::memory_order_release);
+    const std::uint64_t head =
+        _head.load(std::memory_order_relaxed) + count;
+    _head.store(head, std::memory_order_relaxed);
+    _shared->head.store(head, std::memory_order_release);
 }
 
 bool
 SpscRing::overwritePending(std::size_t index, const Message &forged)
 {
     const std::uint64_t head = _head.load(std::memory_order_acquire);
-    const std::uint64_t tail = _tail.load(std::memory_order_acquire);
-    if (head + index >= tail)
+    if (head + index >= _tail)
         return false;
     _slots[(head + index) & _mask] = forged;
     return true;
@@ -249,9 +218,12 @@ SpscRing::overwritePending(std::size_t index, const Message &forged)
 std::size_t
 SpscRing::size() const
 {
-    const std::uint64_t tail = _tail.load(std::memory_order_acquire);
+    // Head first: it never passes the tail read after it.
     const std::uint64_t head = _head.load(std::memory_order_acquire);
-    return static_cast<std::size_t>(tail - head);
+    const std::uint64_t tail =
+        _shared->tail.load(std::memory_order_acquire);
+    return static_cast<std::size_t>(std::min<std::uint64_t>(
+        tail - head, capacity()));
 }
 
 } // namespace hq

@@ -15,30 +15,24 @@ LagSidecar::regionBytes(std::size_t capacity)
 }
 
 LagSidecar::LagSidecar(std::size_t capacity)
-    : _owned(new unsigned char[regionBytes(capacity)])
+    : LagSidecar(new unsigned char[regionBytes(capacity)], capacity,
+                 /*initialize=*/true)
 {
-    const std::size_t slots = roundUpPow2(capacity ? capacity : 1);
-    _region = new (_owned.get()) LagSidecarRegion;
-    _region->tail.store(0, std::memory_order_relaxed);
-    _region->head.store(0, std::memory_order_relaxed);
-    _region->capacity = slots;
-    _region->dropped.store(0, std::memory_order_relaxed);
-    _mask = slots - 1;
+    _owned.reset(reinterpret_cast<unsigned char *>(_region));
 }
 
 LagSidecar::LagSidecar(void *region, std::size_t capacity, bool initialize)
+    : _mask(roundUpPow2(capacity ? capacity : 1) - 1)
 {
-    const std::size_t slots = roundUpPow2(capacity ? capacity : 1);
-    if (initialize) {
-        _region = new (region) LagSidecarRegion;
-        _region->tail.store(0, std::memory_order_relaxed);
-        _region->head.store(0, std::memory_order_relaxed);
-        _region->capacity = slots;
-        _region->dropped.store(0, std::memory_order_relaxed);
-    } else {
+    if (!initialize) {
         _region = static_cast<LagSidecarRegion *>(region);
+        _head = _region->head.load(std::memory_order_acquire);
+        return;
     }
-    _mask = slots - 1;
+    _region = new (region) LagSidecarRegion;
+    _region->tail.store(0, std::memory_order_relaxed);
+    _region->head.store(0, std::memory_order_relaxed);
+    _region->dropped.store(0, std::memory_order_relaxed);
 }
 
 bool
@@ -58,20 +52,20 @@ LagSidecar::stamp(std::uint64_t seq, std::uint64_t enqueue_ns)
 bool
 LagSidecar::consumeUpTo(std::uint64_t seq, std::uint64_t &enqueue_ns)
 {
-    std::uint64_t head = _region->head.load(std::memory_order_relaxed);
     const std::uint64_t tail =
         _region->tail.load(std::memory_order_acquire);
-    while (head != tail) {
-        const LagStamp stamp = _region->slots[head & _mask];
+    if (tail - _head > _mask + 1)
+        return false; // regressed or past a full sidecar: no sample
+    while (_head != tail) {
+        const LagStamp stamp = _region->slots[_head & _mask];
         if (stamp.seq > seq) {
             // Envelope for a message the consumer has not reached yet:
             // leave it queued.
-            _region->head.store(head, std::memory_order_release);
-            return false;
+            break;
         }
-        ++head;
+        ++_head;
         if (stamp.seq == seq) {
-            _region->head.store(head, std::memory_order_release);
+            _region->head.store(_head, std::memory_order_release);
             enqueue_ns = stamp.enqueue_ns;
             return true;
         }
@@ -79,7 +73,7 @@ LagSidecar::consumeUpTo(std::uint64_t seq, std::uint64_t &enqueue_ns)
         // consumed without lag accounting, e.g. telemetry was off or a
         // direct tryRecv bypassed the verifier) — discard and continue.
     }
-    _region->head.store(head, std::memory_order_release);
+    _region->head.store(_head, std::memory_order_release);
     return false;
 }
 

@@ -47,7 +47,6 @@ struct LagSidecarRegion
 {
     alignas(64) std::atomic<std::uint64_t> tail;    //!< producer cursor
     alignas(64) std::atomic<std::uint64_t> head;    //!< consumer cursor
-    std::uint64_t capacity;                         //!< slot count (pow2)
     std::atomic<std::uint64_t> dropped;             //!< stamps lost (full)
     LagStamp slots[]; // NOLINT: flexible array, sized at creation
 };
@@ -69,7 +68,8 @@ class LagSidecar
     /**
      * Wrap caller-provided storage of regionBytes(capacity) bytes
      * (e.g. inside a shared mapping). @param initialize write the
-     * header; pass false to attach to an already-initialized region.
+     * header; pass false to attach to an already-initialized region
+     * (the consumer cursor starts where the region's head is then).
      */
     LagSidecar(void *region, std::size_t capacity, bool initialize);
 
@@ -85,7 +85,11 @@ class LagSidecar
     /**
      * Consumer: drain envelopes up to and including message index
      * `seq`, discarding stale ones (stamped sends the consumer already
-     * passed — see file comment).
+     * passed — see file comment). The consumer cursor is private and
+     * the producer's tail is trusted only within one full sidecar of
+     * it, so the walk covers at most capacity() envelopes; a tail out
+     * of that range (a producer holding the mapping can write any)
+     * yields no sample. Lag is telemetry, not a verdict.
      * @return true and set enqueue_ns when an envelope for exactly
      *         `seq` was found.
      */
@@ -100,15 +104,13 @@ class LagSidecar
         return _region->dropped.load(std::memory_order_relaxed);
     }
 
-    std::size_t capacity() const
-    {
-        return static_cast<std::size_t>(_region->capacity);
-    }
+    std::size_t capacity() const { return _mask + 1; }
 
   private:
     std::unique_ptr<unsigned char[]> _owned; //!< empty when wrapping
     LagSidecarRegion *_region = nullptr;
     std::uint64_t _mask = 0;
+    std::uint64_t _head = 0; //!< consumer cursor: published, not read back
 };
 
 } // namespace telemetry

@@ -222,15 +222,14 @@ Registry::Registry()
           "verifier.lag_slo_breaches",
           "kernel.syscalls",
           "kernel.epoch_timeouts", "ipc.ring_push_fail",
-          "ipc.xproc_full_waits", "ipc.lag_stamp_dropped",
+          "ipc.lag_stamp_dropped",
           "fpga.messages", "fpga.dropped",
           "vm.instructions", "vm.instrumentation_ops",
           "statsboard.publishes", "eventlog.records",
           "flight.dropped_records"}) {
         _counters.emplace(name, std::make_unique<Counter>());
     }
-    for (const char *name : {"ipc.ring_occupancy", "ipc.xproc_occupancy",
-                             "verifier.policy_entries",
+    for (const char *name : {"ipc.ring_occupancy", "verifier.policy_entries",
                              "verifier.lag_high_water_ns"}) {
         _gauges.emplace(name, std::make_unique<Gauge>());
     }

@@ -23,12 +23,6 @@ Amr::appendWrite(const Message &message)
 }
 
 bool
-Amr::tryRead(Message &out)
-{
-    return _ring.tryPop(out);
-}
-
-bool
 Amr::resetRegisters()
 {
     if (_ring.size() != 0)

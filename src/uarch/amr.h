@@ -55,15 +55,11 @@ class Amr
      */
     AppendResult appendWrite(const Message &message);
 
-    /** Reader-core receive; @return true when a message was dequeued. */
-    bool tryRead(Message &out);
-
     /**
      * Reader-core zero-copy receive: view the appended slots in place
      * (the reader core maps the region) without releasing them.
-     * @return number of slots viewable.
      */
-    std::size_t peek(RecvSpan &out) { return _ring.peekSpan(out); }
+    PeekResult peek(RecvSpan &out) { return _ring.peekSpan(out); }
 
     /** Release the oldest count slots of the last peek() view. */
     void consume(std::size_t count) { _ring.consume(count); }

@@ -31,7 +31,7 @@ class UarchModelChannel : public Channel
     Status sendImpl(const Message &message) override;
 
     /// The verifier validates messages where they sit in the AMR.
-    bool tryPeekSpan(RecvSpan &out) override { return _amr.peek(out) != 0; }
+    PeekResult tryPeekSpan(RecvSpan &out) override { return _amr.peek(out); }
     void consumeSlots(std::size_t count) override { _amr.consume(count); }
     std::size_t pending() const override { return _amr.pending(); }
     const ChannelTraits &traits() const override { return _traits; }

@@ -383,7 +383,15 @@ Verifier::drainChannel(Shard &shard, ChannelEntry &entry, Message *scratch,
     // release its slots. Only the decode step depends on the format.
     std::size_t records = 0;
     RecvSpan span;
-    if (!entry.channel->tryPeekSpan(span))
+    const PeekResult peeked = entry.channel->tryPeekSpan(span);
+    if (peeked.kind == PeekResult::BadCursor && !entry.cursor_rejected) {
+        // The producer wrote its ring cursor out of range. Fail closed
+        // once, against the registered owner; the ring lends nothing
+        // more, so nothing behind the lie is ever interpreted.
+        entry.cursor_rejected = true;
+        recordCorruption(entry, "producer cursor out of range");
+    }
+    if (!peeked)
         return 0;
     const bool framed = entry.channel->format() == WireFormat::V2;
     const std::size_t cap = entry.channel->recvCapacity();

@@ -271,6 +271,9 @@ class Verifier : public ProcessEventListener
         /// Messages drained from this channel so far; index of the next
         /// message, used to match lag-sidecar envelopes by sequence.
         std::uint64_t recv_index = 0;
+        /// A peek reported a bad producer cursor (and its CorruptMsg
+        /// was recorded); the channel lends nothing more.
+        bool cursor_rejected = false;
         /// Cached per-owner lag histogram (`verifier.lag_ns.pid_<N>`);
         /// resolved on first lag sample (channels are per-process).
         telemetry::Histogram *pid_lag = nullptr;
@@ -385,10 +388,10 @@ class Verifier : public ProcessEventListener
                       const Message *batch, std::size_t n);
     /**
      * CorruptMsg violation for a message or frame that failed its CRC
-     * check in the decode step, attributed to the channel's registered
-     * owner (fail closed: nothing of it is interpreted, not even its
-     * pid). `message` is the offending v1 message, or an empty one for
-     * a v2 frame.
+     * check in the decode step, or for a ring whose producer cursor
+     * is out of range, attributed to the channel's registered owner
+     * (fail closed: nothing of it is interpreted, not even its pid).
+     * `message` is the offending v1 message, or an empty one.
      */
     void recordCorruption(ChannelEntry &entry, const char *reason,
                           const Message &message = Message{});

@@ -303,7 +303,7 @@ TEST_F(FaultInjectTest, PermanentStallFailsClosedWithBoundedSpin)
     kernel.enableProcess(kPid);
     ShmChannel channel(16);
     verifier.attachChannel(&channel, kPid);
-    channel.setSendSpinLimit(1000);
+    channel.setSendTimeout(std::chrono::milliseconds(10));
     fi::FaultPlan::instance().arm(fi::Site::RingStall, 1.0);
     const Status status =
         channel.send(Message(Opcode::PointerDefine, 0x1, 0x2));

@@ -15,6 +15,19 @@
 namespace hq {
 namespace {
 
+/** Verifier-side read of the oldest host-buffer slot: peek, copy,
+ *  consume. */
+bool
+hostReadOne(FpgaAfu &afu, Message &out)
+{
+    RecvSpan span;
+    if (!afu.hostPeekSpan(span))
+        return false;
+    out = span.slot(0);
+    afu.hostConsume(1);
+    return true;
+}
+
 FpgaConfig
 fastConfig(std::size_t capacity = 1 << 10)
 {
@@ -34,7 +47,7 @@ TEST(FpgaAfu, TwoWriteCommitAssemblesMessage)
     afu.mmioWrite(commit, 0x2000);
 
     Message out;
-    ASSERT_TRUE(afu.hostRead(out));
+    ASSERT_TRUE(hostReadOne(afu, out));
     EXPECT_EQ(out.op, Opcode::PointerDefine);
     EXPECT_EQ(out.arg0, 0x1000u);
     EXPECT_EQ(out.arg1, 0x2000u);
@@ -48,7 +61,7 @@ TEST(FpgaAfu, SingleWriteCommitForOneArgOps)
     afu.mmioWrite(commit, 42);
 
     Message out;
-    ASSERT_TRUE(afu.hostRead(out));
+    ASSERT_TRUE(hostReadOne(afu, out));
     EXPECT_EQ(out.op, Opcode::Syscall);
     EXPECT_EQ(out.arg0, 42u);
     EXPECT_EQ(out.arg1, 0u);
@@ -74,9 +87,9 @@ TEST(FpgaAfu, PidStampedFromKernelRegister)
     afu.mmioWrite(commit, 2);
 
     Message out;
-    ASSERT_TRUE(afu.hostRead(out));
+    ASSERT_TRUE(hostReadOne(afu, out));
     EXPECT_EQ(out.pid, 777u);
-    ASSERT_TRUE(afu.hostRead(out));
+    ASSERT_TRUE(hostReadOne(afu, out));
     EXPECT_EQ(out.pid, 888u);
 }
 
@@ -90,7 +103,7 @@ TEST(FpgaAfu, SequenceCounterIsConsecutive)
 
     Message out;
     for (std::uint32_t i = 0; i < 10; ++i) {
-        ASSERT_TRUE(afu.hostRead(out));
+        ASSERT_TRUE(hostReadOne(afu, out));
         EXPECT_EQ(out.seq, i);
     }
 }
@@ -106,10 +119,10 @@ TEST(FpgaAfu, DropsOnFullHostBufferAndLeavesSeqGap)
 
     // Drain, then send one more: its sequence number exposes the gap.
     Message out;
-    while (afu.hostRead(out)) {
+    while (hostReadOne(afu, out)) {
     }
     afu.mmioWrite(commit, 99);
-    ASSERT_TRUE(afu.hostRead(out));
+    ASSERT_TRUE(hostReadOne(afu, out));
     EXPECT_EQ(out.seq, 6u); // seq 4 and 5 were consumed by drops
 }
 
@@ -119,7 +132,7 @@ TEST(FpgaAfu, UnmappedOffsetsAreIgnored)
     afu.mmioWrite(0x7777, 0xdead);   // unmapped
     afu.mmioWrite(0x101, 0xdead);    // unaligned commit window write
     Message out;
-    EXPECT_FALSE(afu.hostRead(out));
+    EXPECT_FALSE(hostReadOne(afu, out));
 }
 
 TEST(FpgaChannel, SendStampsPidAndSeq)

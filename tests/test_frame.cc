@@ -424,15 +424,15 @@ TEST(FrameRing, TryPushAllIsAllOrNothing)
 {
     SpscRing ring(8);
     Message filler[8] = {};
-    ASSERT_EQ(ring.tryPushBatch(filler, 6), 6u);
+    ASSERT_TRUE(ring.tryPushAll(filler, 6));
 
     Message slots[4] = {};
     EXPECT_FALSE(ring.tryPushAll(slots, 4)); // only 2 slots free
     EXPECT_EQ(ring.size(), 6u);              // nothing partially written
 
-    Message drain;
-    ring.tryPop(drain);
-    ring.tryPop(drain);
+    RecvSpan span;
+    ASSERT_TRUE(ring.peekSpan(span));
+    ring.consume(2);
     EXPECT_TRUE(ring.tryPushAll(slots, 4)); // now exactly fits
     EXPECT_EQ(ring.size(), 8u);
 }
@@ -442,25 +442,27 @@ TEST(FrameRing, PeekSpanSeesWrapAndConsumeAdvances)
     SpscRing ring(8);
     Message message;
     // Offset the cursors so the next push run wraps.
+    RecvSpan span;
     for (int i = 0; i < 6; ++i)
         ASSERT_TRUE(ring.tryPush(message));
-    for (int i = 0; i < 6; ++i)
-        ASSERT_TRUE(ring.tryPop(message));
+    ASSERT_TRUE(ring.peekSpan(span));
+    ring.consume(6);
 
     Message slots[5];
     for (int i = 0; i < 5; ++i)
         slots[i].arg0 = static_cast<std::uint64_t>(i);
     ASSERT_TRUE(ring.tryPushAll(slots, 5));
 
-    RecvSpan span;
-    ASSERT_EQ(ring.peekSpan(span), 5u);
+    ASSERT_TRUE(ring.peekSpan(span));
+    ASSERT_EQ(span.total(), 5u);
     EXPECT_EQ(span.seg[0].count, 2u); // slots 6,7 then wrap
     EXPECT_EQ(span.seg[1].count, 3u);
     for (std::size_t i = 0; i < 5; ++i)
         EXPECT_EQ(span.slot(i).arg0, i);
 
     ring.consume(2);
-    ASSERT_EQ(ring.peekSpan(span), 3u);
+    ASSERT_TRUE(ring.peekSpan(span));
+    ASSERT_EQ(span.total(), 3u);
     EXPECT_EQ(span.slot(0).arg0, 2u);
     ring.consume(3);
     EXPECT_TRUE(ring.empty());
@@ -470,17 +472,19 @@ TEST(FrameRing, EncodedFrameSurvivesWrapThroughDecode)
 {
     SpscRing ring(16);
     Message message;
+    RecvSpan span;
     for (int i = 0; i < 10; ++i) {
         ASSERT_TRUE(ring.tryPush(message));
-        ASSERT_TRUE(ring.tryPop(message));
+        ASSERT_TRUE(ring.peekSpan(span));
+        ring.consume(1);
     }
     const std::vector<Message> messages = makeMessages(12);
     Message slots[frame::kMaxFrameSlots];
     frame::encode(messages.data(), 12, kPid, 5, slots);
     ASSERT_TRUE(ring.tryPushAll(slots, frame::frameSlots(12)));
 
-    RecvSpan span;
-    ASSERT_EQ(ring.peekSpan(span), frame::frameSlots(12));
+    ASSERT_TRUE(ring.peekSpan(span));
+    ASSERT_EQ(span.total(), frame::frameSlots(12));
     ASSERT_NE(span.seg[1].count, 0u) << "expected a wrapped span";
     frame::FrameView view;
     const frame::DecodeLimits limits{ring.capacity(), 256};
@@ -687,7 +691,7 @@ class PeekCountingChannel : public ShmChannel
   public:
     using ShmChannel::ShmChannel;
 
-    bool
+    PeekResult
     tryPeekSpan(RecvSpan &out) override
     {
         ++peeks;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -18,6 +20,27 @@
 
 namespace hq {
 namespace {
+
+/** Copying receive through the ring's one receive path: peek up to
+ *  max_count slots, copy them out, consume them. */
+std::size_t
+popUpTo(SpscRing &ring, Message *out, std::size_t max_count)
+{
+    RecvSpan span;
+    if (!ring.peekSpan(span))
+        return 0;
+    const std::size_t n = std::min(max_count, span.total());
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = span.slot(i);
+    ring.consume(n);
+    return n;
+}
+
+bool
+popOne(SpscRing &ring, Message &out)
+{
+    return popUpTo(ring, &out, 1) == 1;
+}
 
 TEST(Message, WireFormatIs32Bytes)
 {
@@ -66,7 +89,7 @@ TEST(SpscRing, PushPopFifoOrder)
     EXPECT_EQ(ring.size(), 5u);
     for (std::uint64_t i = 0; i < 5; ++i) {
         Message out;
-        ASSERT_TRUE(ring.tryPop(out));
+        ASSERT_TRUE(popOne(ring, out));
         EXPECT_EQ(out.arg0, i);
     }
     EXPECT_TRUE(ring.empty());
@@ -79,7 +102,7 @@ TEST(SpscRing, PushFailsWhenFull)
         EXPECT_TRUE(ring.tryPush(Message(Opcode::EventCount, i)));
     EXPECT_FALSE(ring.tryPush(Message(Opcode::EventCount, 99)));
     Message out;
-    EXPECT_TRUE(ring.tryPop(out));
+    EXPECT_TRUE(popOne(ring, out));
     EXPECT_TRUE(ring.tryPush(Message(Opcode::EventCount, 99)));
 }
 
@@ -87,7 +110,7 @@ TEST(SpscRing, PopFailsWhenEmpty)
 {
     SpscRing ring(4);
     Message out;
-    EXPECT_FALSE(ring.tryPop(out));
+    EXPECT_FALSE(popOne(ring, out));
 }
 
 TEST(SpscRing, WrapAroundPreservesOrder)
@@ -96,7 +119,7 @@ TEST(SpscRing, WrapAroundPreservesOrder)
     Message out;
     for (std::uint64_t round = 0; round < 100; ++round) {
         ASSERT_TRUE(ring.tryPush(Message(Opcode::EventCount, round)));
-        ASSERT_TRUE(ring.tryPop(out));
+        ASSERT_TRUE(popOne(ring, out));
         EXPECT_EQ(out.arg0, round);
     }
 }
@@ -116,7 +139,7 @@ TEST(SpscRing, ConcurrentProducerConsumer)
     std::uint64_t expected = 0;
     Message out;
     while (expected < kCount) {
-        if (ring.tryPop(out)) {
+        if (popOne(ring, out)) {
             ASSERT_EQ(out.arg0, expected);
             ++expected;
         }
@@ -131,11 +154,11 @@ TEST(SpscRing, BatchPushPopRoundTrip)
     Message in[10];
     for (std::uint64_t i = 0; i < 10; ++i)
         in[i] = Message(Opcode::EventCount, i, i * 3);
-    EXPECT_EQ(ring.tryPushBatch(in, 10), 10u);
+    EXPECT_TRUE(ring.tryPushAll(in, 10));
     EXPECT_EQ(ring.size(), 10u);
 
     Message out[16];
-    EXPECT_EQ(ring.tryPopBatch(out, 16), 10u);
+    EXPECT_EQ(popUpTo(ring, out, 16), 10u);
     for (std::uint64_t i = 0; i < 10; ++i) {
         EXPECT_EQ(out[i].arg0, i);
         EXPECT_EQ(out[i].arg1, i * 3);
@@ -143,33 +166,16 @@ TEST(SpscRing, BatchPushPopRoundTrip)
     EXPECT_TRUE(ring.empty());
 }
 
-TEST(SpscRing, BatchPushIsPartialWhenNearlyFull)
-{
-    SpscRing ring(8);
-    Message in[8];
-    for (std::uint64_t i = 0; i < 8; ++i)
-        in[i] = Message(Opcode::EventCount, i);
-    EXPECT_EQ(ring.tryPushBatch(in, 6), 6u);
-    // Only 2 slots remain: the push is partial, not rejected.
-    EXPECT_EQ(ring.tryPushBatch(in + 6, 2), 2u);
-    EXPECT_EQ(ring.tryPushBatch(in, 4), 0u);
-
-    Message out[8];
-    EXPECT_EQ(ring.tryPopBatch(out, 3), 3u);
-    for (std::uint64_t i = 0; i < 3; ++i)
-        EXPECT_EQ(out[i].arg0, i);
-    EXPECT_EQ(ring.tryPopBatch(out, 8), 5u);
-    for (std::uint64_t i = 0; i < 5; ++i)
-        EXPECT_EQ(out[i].arg0, i + 3);
-}
-
 TEST(SpscRing, BatchZeroAndEmptyEdges)
 {
     SpscRing ring(8);
     Message m;
-    EXPECT_EQ(ring.tryPushBatch(&m, 0), 0u);
-    EXPECT_EQ(ring.tryPopBatch(&m, 0), 0u);
-    EXPECT_EQ(ring.tryPopBatch(&m, 8), 0u); // empty ring
+    EXPECT_TRUE(ring.tryPushAll(&m, 0)); // nothing to publish
+    EXPECT_TRUE(ring.empty());
+    RecvSpan span;
+    EXPECT_EQ(ring.peekSpan(span).kind, PeekResult::Empty);
+    EXPECT_EQ(span.total(), 0u);
+    EXPECT_FALSE(ring.tryPushAll(&m, 9)); // larger than the ring
 }
 
 TEST(SpscRing, BatchOpsWrapAroundPreserveOrder)
@@ -182,8 +188,8 @@ TEST(SpscRing, BatchOpsWrapAroundPreserveOrder)
     for (std::uint64_t round = 0; round < 100; ++round) {
         for (auto &message : in)
             message = Message(Opcode::EventCount, next++);
-        ASSERT_EQ(ring.tryPushBatch(in, 5), 5u);
-        ASSERT_EQ(ring.tryPopBatch(out, 8), 5u);
+        ASSERT_TRUE(ring.tryPushAll(in, 5));
+        ASSERT_EQ(popUpTo(ring, out, 8), 5u);
         for (std::uint64_t i = 0; i < 5; ++i)
             ASSERT_EQ(out[i].arg0, next - 5 + i);
     }
@@ -196,11 +202,11 @@ TEST(SpscRing, BatchInteroperatesWithSingleOps)
     for (std::uint64_t i = 0; i < 3; ++i)
         in[i] = Message(Opcode::EventCount, i);
     ASSERT_TRUE(ring.tryPush(Message(Opcode::EventCount, 99)));
-    ASSERT_EQ(ring.tryPushBatch(in, 3), 3u);
+    ASSERT_TRUE(ring.tryPushAll(in, 3));
     Message single;
-    ASSERT_TRUE(ring.tryPop(single));
+    ASSERT_TRUE(popOne(ring, single));
     EXPECT_EQ(single.arg0, 99u);
-    ASSERT_EQ(ring.tryPopBatch(out, 8), 3u);
+    ASSERT_EQ(popUpTo(ring, out, 8), 3u);
     for (std::uint64_t i = 0; i < 3; ++i)
         EXPECT_EQ(out[i].arg0, i);
 }
@@ -221,14 +227,8 @@ TEST(SpscRing, ConcurrentBatchProducerConsumerNoLossNoReorder)
                     : static_cast<std::size_t>(kCount - sent);
             for (std::size_t i = 0; i < want; ++i)
                 in[i] = Message(Opcode::EventCount, sent + i);
-            std::size_t pushed = 0;
-            while (pushed < want) {
-                const std::size_t n =
-                    ring.tryPushBatch(in + pushed, want - pushed);
-                if (n == 0)
-                    std::this_thread::yield();
-                pushed += n;
-            }
+            while (!ring.tryPushAll(in, want))
+                std::this_thread::yield();
             sent += want;
         }
     });
@@ -236,7 +236,7 @@ TEST(SpscRing, ConcurrentBatchProducerConsumerNoLossNoReorder)
     Message out[kBatch];
     std::uint64_t expected = 0;
     while (expected < kCount) {
-        const std::size_t n = ring.tryPopBatch(out, kBatch);
+        const std::size_t n = popUpTo(ring, out, kBatch);
         if (n == 0) {
             std::this_thread::yield();
             continue;
@@ -268,14 +268,8 @@ TEST(SpscRing, ConcurrentMixedSingleAndBatchStress)
                     : static_cast<std::size_t>(kCount - sent);
             for (std::size_t i = 0; i < want; ++i)
                 in[i] = Message(Opcode::EventCount, sent + i);
-            std::size_t pushed = 0;
-            while (pushed < want) {
-                const std::size_t n =
-                    ring.tryPushBatch(in + pushed, want - pushed);
-                if (n == 0)
-                    std::this_thread::yield();
-                pushed += n;
-            }
+            while (!ring.tryPushAll(in, want))
+                std::this_thread::yield();
             sent += want;
         }
     });
@@ -283,7 +277,7 @@ TEST(SpscRing, ConcurrentMixedSingleAndBatchStress)
     Message out;
     std::uint64_t expected = 0;
     while (expected < kCount) {
-        if (ring.tryPop(out)) {
+        if (popOne(ring, out)) {
             ASSERT_EQ(out.arg0, expected);
             ++expected;
         } else {
@@ -302,9 +296,61 @@ TEST(SpscRing, OverwritePendingModelsShmCorruption)
     EXPECT_TRUE(ring.overwritePending(0, Message(Opcode::PointerDefine,
                                                  1, 0xbad)));
     Message out;
-    ASSERT_TRUE(ring.tryPop(out));
+    ASSERT_TRUE(popOne(ring, out));
     EXPECT_EQ(out.arg1, 0xbadu); // evidence erased
     EXPECT_FALSE(ring.overwritePending(5, Message()));
+}
+
+TEST(SpscRing, PlacedRingKeepsCursorsAndSlotsInCallerMemory)
+{
+    constexpr std::size_t kBytes =
+        sizeof(SpscRing::SharedCursors) + 8 * sizeof(Message);
+    ASSERT_EQ(SpscRing::regionBytes(8), kBytes);
+    alignas(64) unsigned char region[kBytes];
+    std::memset(region, 0xff, sizeof(region));
+    SpscRing ring(region, 8);
+    const auto *cursors =
+        reinterpret_cast<const SpscRing::SharedCursors *>(region);
+    EXPECT_EQ(cursors->tail.load(), 0u);
+
+    Message in[3];
+    for (std::uint64_t i = 0; i < 3; ++i)
+        in[i] = Message(Opcode::EventCount, i);
+    ASSERT_TRUE(ring.tryPushAll(in, 3));
+    EXPECT_EQ(cursors->tail.load(), 3u);
+    RecvSpan span;
+    ASSERT_TRUE(ring.peekSpan(span));
+    EXPECT_EQ(reinterpret_cast<const unsigned char *>(span.seg[0].data),
+              region + sizeof(SpscRing::SharedCursors));
+    ring.consume(3);
+    EXPECT_EQ(cursors->head.load(), 3u);
+}
+
+TEST(SpscRing, PeekFailsClosedOnAnOutOfRangeTailAndStaysFailed)
+{
+    // The producer cursor is the one shared word the consumer reads;
+    // whoever can write it is checked, never clamped.
+    alignas(64) unsigned char region[sizeof(SpscRing::SharedCursors) +
+                                     8 * sizeof(Message)];
+    SpscRing ring(region, 8);
+    auto *cursors = reinterpret_cast<SpscRing::SharedCursors *>(region);
+    ASSERT_TRUE(ring.tryPush(Message(Opcode::EventCount, 1)));
+    RecvSpan span;
+    ASSERT_TRUE(ring.peekSpan(span));
+
+    cursors->tail.store(9); // claims one slot more than a full ring
+    EXPECT_EQ(ring.peekSpan(span).kind, PeekResult::BadCursor);
+    EXPECT_EQ(span.total(), 0u);
+    cursors->tail.store(1); // back in range: the ring stays failed
+    EXPECT_EQ(ring.peekSpan(span).kind, PeekResult::BadCursor);
+
+    // A tail moved back below what a peek already saw is a lie too.
+    SpscRing placed(region, 8);
+    ASSERT_TRUE(placed.tryPush(Message(Opcode::EventCount, 1)));
+    ASSERT_TRUE(placed.tryPush(Message(Opcode::EventCount, 2)));
+    ASSERT_TRUE(placed.peekSpan(span));
+    cursors->tail.store(1);
+    EXPECT_EQ(placed.peekSpan(span).kind, PeekResult::BadCursor);
 }
 
 // ---------------------------------------------------------------------
