@@ -8,20 +8,22 @@ Five modes:
       `--telemetry-out` JSON dumps (and `--event-log` JSONL files, whose
       records are tallied by type).
 
-  ring RAW.json [-o BENCH_ring.json] [--min-speedup X]
-      Post-process a `ring_throughput --json=RAW.json` result: compute
-      the v2/v1 verified-pipeline speedup and write BENCH_ring.json
-      (schema hq-ring-bench-summary/1). Exits non-zero when the raw run
-      failed or the speedup falls below --min-speedup (default 0 = no
-      gate; CI passes 1.5).
+  ring RAW.json... [-o BENCH_ring.json] [--min-speedup X]
+      Post-process `ring_throughput --json=RAW.json` results, one per
+      repetition (each runs v1 then v2): compute each repetition's
+      v2/v1 verified-pipeline speedup and write BENCH_ring.json (schema
+      hq-ring-bench-summary/2). Exits non-zero when a raw run failed or
+      the median speedup falls below --min-speedup (default 0 = no
+      gate; CI passes 1.5). A gate needs at least 5 repetitions.
 
-  latency RAW.json [-o BENCH_latency.json] [--min-p99-speedup X]
-      Post-process a `nginx_sim --latency-sweep=RAW.json` result:
-      compute the strict/mode p99 syscall-pause speedups and write
-      BENCH_latency.json (schema hq-latency-bench-summary/1). Exits
-      non-zero when the raw sweep failed or the spec speedup falls
+  latency RAW.json... [-o BENCH_latency.json] [--min-p99-speedup X]
+      Post-process `nginx_sim --latency-sweep=RAW.json` results, one per
+      repetition (each runs strict then the other modes): compute each
+      repetition's strict/mode p99 syscall-pause speedups and write
+      BENCH_latency.json (schema hq-latency-bench-summary/2). Exits
+      non-zero when a raw sweep failed or the median spec speedup falls
       below --min-p99-speedup (default 0 = no gate; CI passes 1.2 on
-      the default job).
+      the default job). A gate needs at least 5 repetitions.
 
   schema FILE...
       Strict JSONL validation for event logs and flight-recorder dumps.
@@ -150,90 +152,140 @@ def cmd_report(args):
     return 0
 
 
+# A wall-clock gate reads one ratio per repetition and gates on their
+# median: a single short run reads scheduler noise (one ring smoke run
+# takes about 0.01 s), so a gate needs at least this many repetitions.
+MIN_GATE_REPS = 5
+
+
+def median(values):
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def median_ratio(ratios):
+    """Median of per-repetition ratios; a missing one (a failed leg)
+    counts as 0."""
+    return median([r or 0.0 for r in ratios])
+
+
+def gate_median(ratios, floor, what):
+    """Exit non-zero unless the median of `ratios` reaches `floor`."""
+    if not floor:
+        return
+    if len(ratios) < MIN_GATE_REPS:
+        sys.exit(f"{what} gate needs >= {MIN_GATE_REPS} repetitions, "
+                 f"got {len(ratios)}")
+    value = median_ratio(ratios)
+    if value < floor:
+        sys.exit(f"{what} median {value} below gate {floor}")
+
+
+def load_raws(paths, schema):
+    raws = []
+    for path in paths:
+        raw = load_dump(path)
+        if raw.get("schema") != schema:
+            sys.exit(f"{path}: not an {schema} result")
+        raws.append(raw)
+    return raws
+
+
 def cmd_ring(args):
-    raw = load_dump(args.raw)
-    if raw.get("schema") != "hq-ring-bench/1":
-        sys.exit(f"{args.raw}: not an hq-ring-bench/1 result")
-    pipeline = raw.get("verified_pipeline", {})
-    v1 = pipeline.get("v1", {}).get("mmsg_per_sec")
-    v2 = pipeline.get("v2", {}).get("mmsg_per_sec")
-    speedup = (v2 / v1) if v1 and v2 else None
+    raws = load_raws(args.raw, "hq-ring-bench/1")
+    reps = []
+    for raw in raws:
+        pipeline = raw.get("verified_pipeline", {})
+        v1 = pipeline.get("v1", {}).get("mmsg_per_sec")
+        v2 = pipeline.get("v2", {}).get("mmsg_per_sec")
+        reps.append({"v1_mmsg_per_sec": v1, "v2_mmsg_per_sec": v2,
+                     "v2_over_v1_speedup": (v2 / v1) if v1 and v2
+                     else None})
+    speedups = [rep["v2_over_v1_speedup"] for rep in reps]
+    speedup = median_ratio(speedups)
 
     out = args.output or os.path.join(
-        os.path.dirname(os.path.abspath(args.raw)), "BENCH_ring.json")
+        os.path.dirname(os.path.abspath(args.raw[0])), "BENCH_ring.json")
     summary = {
-        "schema": "hq-ring-bench-summary/1",
-        "capacity": raw.get("capacity"),
-        "pipeline_messages": raw.get("pipeline_messages"),
-        "crc_backend": raw.get("crc_backend"),
-        "v1_mmsg_per_sec": v1,
-        "v2_mmsg_per_sec": v2,
-        "v2_over_v1_speedup": speedup,
-        "raw_ok": bool(raw.get("ok")),
+        "schema": "hq-ring-bench-summary/2",
+        "capacity": raws[0].get("capacity"),
+        "pipeline_messages": raws[0].get("pipeline_messages"),
+        "crc_backend": raws[0].get("crc_backend"),
+        "repetitions": reps,
+        "v2_over_v1_speedup_median": speedup,
+        "raw_ok": all(raw.get("ok") for raw in raws),
     }
     with open(out, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {out}: v1 {v1} Mmsg/s, v2 {v2} Mmsg/s, "
-          f"speedup {speedup and round(speedup, 3)}")
+    print(f"wrote {out}: v2/v1 speedup median {round(speedup, 3)} over "
+          f"{len(reps)} runs "
+          f"({', '.join(str(x and round(x, 2)) for x in speedups)})")
 
-    if not raw.get("ok"):
+    if not summary["raw_ok"]:
         sys.exit("ring bench reported a verification failure")
-    if args.min_speedup and (speedup is None
-                             or speedup < args.min_speedup):
-        sys.exit(f"v2 speedup {speedup} below gate {args.min_speedup}")
+    gate_median(speedups, args.min_speedup, "v2/v1 speedup")
     return 0
 
 
 def cmd_latency(args):
-    raw = load_dump(args.raw)
-    if raw.get("schema") != "hq-latency-bench/1":
-        sys.exit(f"{args.raw}: not an hq-latency-bench/1 result")
-    modes = raw.get("modes", {})
-    strict = modes.get("strict", {})
-    strict_p99 = strict.get("p99_ns")
+    raws = load_raws(args.raw, "hq-latency-bench/1")
+    reps = []
+    for raw in raws:
+        modes = raw.get("modes", {})
+        strict_p99 = modes.get("strict", {}).get("p99_ns")
 
-    def speedup(mode):
-        p99 = modes.get(mode, {}).get("p99_ns")
-        if not strict_p99 or not p99:
-            return None
-        return strict_p99 / p99
+        def speedup(mode):
+            p99 = modes.get(mode, {}).get("p99_ns")
+            if not strict_p99 or not p99:
+                return None
+            return strict_p99 / p99
 
-    spec = speedup("spec")
+        reps.append({
+            "strict_p50_ns": modes.get("strict", {}).get("p50_ns"),
+            "strict_p99_ns": strict_p99,
+            "modes": {
+                mode: {
+                    "p50_ns": stats.get("p50_ns"),
+                    "p99_ns": stats.get("p99_ns"),
+                    "pause_samples": stats.get("pause_samples"),
+                    "spec_syscalls": stats.get("spec_syscalls"),
+                    "max_spec_depth": stats.get("max_spec_depth"),
+                    "p99_speedup_vs_strict": speedup(mode),
+                }
+                for mode, stats in sorted(modes.items())
+            },
+        })
+    spec = [rep["modes"].get("spec", {}).get("p99_speedup_vs_strict")
+            for rep in reps]
+    spec_median = median_ratio(spec)
+
     out = args.output or os.path.join(
-        os.path.dirname(os.path.abspath(args.raw)), "BENCH_latency.json")
+        os.path.dirname(os.path.abspath(args.raw[0])), "BENCH_latency.json")
     summary = {
-        "schema": "hq-latency-bench-summary/1",
-        "scale": raw.get("scale"),
-        "num_shards": raw.get("num_shards"),
-        "spec_window": raw.get("spec_window"),
-        "strict_p50_ns": strict.get("p50_ns"),
-        "strict_p99_ns": strict_p99,
-        "modes": {
-            mode: {
-                "p50_ns": stats.get("p50_ns"),
-                "p99_ns": stats.get("p99_ns"),
-                "pause_samples": stats.get("pause_samples"),
-                "spec_syscalls": stats.get("spec_syscalls"),
-                "max_spec_depth": stats.get("max_spec_depth"),
-                "p99_speedup_vs_strict": speedup(mode),
-            }
-            for mode, stats in sorted(modes.items())
-        },
-        "raw_ok": bool(raw.get("ok")),
+        "schema": "hq-latency-bench-summary/2",
+        "scale": raws[0].get("scale"),
+        "num_shards": raws[0].get("num_shards"),
+        "spec_window": raws[0].get("spec_window"),
+        "repetitions": reps,
+        "spec_p99_speedup_median": spec_median,
+        "raw_ok": all(raw.get("ok") for raw in raws),
     }
     with open(out, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {out}: strict p99 {strict_p99 and fmt_ns(strict_p99)}, "
-          f"spec p99 speedup: {spec and round(spec, 3)}x")
+    strict = [rep["strict_p99_ns"] for rep in reps]
+    print(f"wrote {out}: spec p99 speedup median {round(spec_median, 3)}x "
+          f"over {len(reps)} runs "
+          f"({', '.join(str(x and round(x, 2)) for x in spec)}); strict "
+          f"p99 {', '.join(x and fmt_ns(x) or '-' for x in strict)}")
 
-    if not raw.get("ok"):
+    if not summary["raw_ok"]:
         sys.exit("latency sweep reported a failed run")
-    if args.min_p99_speedup and (spec is None
-                                 or spec < args.min_p99_speedup):
-        sys.exit(f"spec p99 speedup {spec} below gate "
-                 f"{args.min_p99_speedup}")
+    gate_median(spec, args.min_p99_speedup, "spec p99 speedup")
     return 0
 
 
@@ -343,19 +395,25 @@ def main():
 
     ring = sub.add_parser("ring",
                           help="summarize a ring_throughput --json run")
-    ring.add_argument("raw", help="raw hq-ring-bench/1 JSON result")
+    ring.add_argument("raw", nargs="+",
+                      help="raw hq-ring-bench/1 JSON results, one per "
+                           "repetition")
     ring.add_argument("-o", "--output", default=None)
     ring.add_argument("--min-speedup", type=float, default=0.0,
-                      help="fail when v2/v1 speedup is below this")
+                      help="fail when the median v2/v1 speedup over "
+                           f">= {MIN_GATE_REPS} repetitions is below this")
     ring.set_defaults(func=cmd_ring)
 
     latency = sub.add_parser(
         "latency", help="summarize an nginx_sim --latency-sweep run")
-    latency.add_argument("raw", help="raw hq-latency-bench/1 JSON result")
+    latency.add_argument("raw", nargs="+",
+                         help="raw hq-latency-bench/1 JSON results, one "
+                              "per repetition")
     latency.add_argument("-o", "--output", default=None)
     latency.add_argument("--min-p99-speedup", type=float, default=0.0,
-                         help="fail when the spec p99 speedup vs "
-                              "strict is below this")
+                         help="fail when the median spec p99 speedup vs "
+                              f"strict over >= {MIN_GATE_REPS} "
+                              "repetitions is below this")
     latency.set_defaults(func=cmd_latency)
 
     schema = sub.add_parser("schema",

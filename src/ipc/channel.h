@@ -165,7 +165,8 @@ class Channel
      * no fixed slot ring (posix transports). The verifier feeds this to
      * the v2 frame decoder: a header whose slot footprint exceeds the
      * ring can never complete, so it must be rejected rather than
-     * waited for.
+     * waited for. A peek that finds the ring full tells the shard
+     * worker the producer is blocked, so it re-polls without waiting.
      */
     virtual std::size_t recvCapacity() const { return 0; }
 

@@ -219,6 +219,7 @@ Registry::Registry()
     for (const char *name :
          {"verifier.messages", "verifier.violations",
           "verifier.syscall_acks", "verifier.idle_sleeps",
+          "verifier.drain_passes",
           "verifier.lag_slo_breaches",
           "kernel.syscalls",
           "kernel.epoch_timeouts", "ipc.ring_push_fail",

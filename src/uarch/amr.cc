@@ -18,7 +18,11 @@ Amr::appendWrite(const Message &message)
     // (the kernel recycles the region by resetting registers once read).
     if (!_ring.tryPush(message))
         return AppendResult::Full;
-    _appended.fetch_add(1, std::memory_order_relaxed);
+    // Only the producer writes the counter, so a plain load and store
+    // stand in for a locked read-modify-write; appendAddr() readers
+    // still see a whole value through the atomic load.
+    _appended.store(_appended.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
     return AppendResult::Ok;
 }
 

@@ -88,7 +88,8 @@ class Amr
     const Addr _virtual_base;
     const Addr _max_append_addr;
     /// Total messages ever appended; AppendAddr is derived from it so the
-    /// register value reflects the architectural auto-increment.
+    /// register value reflects the architectural auto-increment. Written
+    /// only by the producer (appendWrite), read atomically by anyone.
     std::atomic<std::uint64_t> _appended{0};
     std::atomic<std::uint64_t> _reg_epoch_base{0};
 };

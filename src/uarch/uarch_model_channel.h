@@ -34,6 +34,10 @@ class UarchModelChannel : public Channel
     PeekResult tryPeekSpan(RecvSpan &out) override { return _amr.peek(out); }
     void consumeSlots(std::size_t count) override { _amr.consume(count); }
     std::size_t pending() const override { return _amr.pending(); }
+    std::size_t recvCapacity() const override
+    {
+        return _amr.capacityMessages();
+    }
     const ChannelTraits &traits() const override { return _traits; }
 
     /** The underlying appendable memory region (for register inspection). */

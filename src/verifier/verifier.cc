@@ -21,6 +21,7 @@ HQ_TELEMETRY_HANDLE(msgLatencyHist, Histogram, "verifier.msg_latency_ns")
 HQ_TELEMETRY_HANDLE(messagesCounter, Counter, "verifier.messages")
 HQ_TELEMETRY_HANDLE(policyEntriesGauge, Gauge, "verifier.policy_entries")
 HQ_TELEMETRY_HANDLE(idleSleepsCounter, Counter, "verifier.idle_sleeps")
+HQ_TELEMETRY_HANDLE(drainPassesCounter, Counter, "verifier.drain_passes")
 HQ_TELEMETRY_HANDLE(lagHist, Histogram, "verifier.lag_ns")
 HQ_TELEMETRY_HANDLE(lagHighWater, Gauge, "verifier.lag_high_water_ns")
 // Async-ack pipeline: total acks delivered through coalesced
@@ -28,6 +29,18 @@ HQ_TELEMETRY_HANDLE(lagHighWater, Gauge, "verifier.lag_high_water_ns")
 // message (breaches feed the same lag SLO counter as verification lag).
 HQ_TELEMETRY_HANDLE(acksBatchedCounter, Counter, "verifier.acks_batched")
 HQ_TELEMETRY_HANDLE(ackLatencyHist, Histogram, "verifier.ack_latency_ns")
+
+/// Pause hint for a spin-wait: tells the core this is a wait loop
+/// without touching memory.
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
 
 std::size_t
 resolveNumShards(std::size_t requested)
@@ -72,6 +85,8 @@ Verifier::Verifier(KernelModule &kernel, std::shared_ptr<Policy> policy,
             &registry.counter(prefix + "syscall_acks");
         shard->idle_sleeps_metric =
             &registry.counter(prefix + "idle_sleeps");
+        shard->drain_passes_metric =
+            &registry.counter(prefix + "drain_passes");
         _shards.push_back(std::move(shard));
     }
 
@@ -252,55 +267,76 @@ Verifier::stop()
 void
 Verifier::shardLoop(std::size_t shard_index)
 {
-    // Bounded spin-then-sleep backoff: a busy shard never sleeps, an
-    // idle one yields for a few rounds (keeping fig3-style message
-    // latency low when traffic resumes immediately) and then naps so an
-    // idle verifier core stops burning cross-core cache traffic.
+    // Pace the worker, not the program. A drain that found a full
+    // batch, or a full ring, means the producer is outrunning the
+    // worker, so it re-polls at once. After any shorter drain the
+    // worker waits before it peeks again: until a gate kick for this
+    // shard, stop(), or one drain quantum. The wait reads only
+    // gate_kicks and _running, never a ring cursor or a slot, so the
+    // producer fills whole cache lines the worker does not hold
+    // instead of having each one pulled across cores while it is still
+    // being written. A kick ends the wait at once, so a gated syscall's
+    // ack is never a quantum late; between syscalls a violation is
+    // flagged at most one quantum (plus the drain) after it was sent.
+    //
+    // While the last drains found work the wait spins on the pause hint
+    // (yielding now and then, so a producer sharing this core still
+    // runs). After kSpinsBeforeSleep empty drains the shard is idle and
+    // parks on wake_cv for the quantum instead, so an idle verifier
+    // stops burning its core.
     constexpr int kSpinsBeforeSleep = 64;
+    constexpr auto kDrainQuantum = std::chrono::microseconds(20);
+    constexpr unsigned kPausesPerYield = 64;
     int idle_rounds = 0;
     bool wedged = false;
     Shard &shard = *_shards[shard_index];
-    std::uint64_t kicks_seen =
-        shard.gate_kicks.load(std::memory_order_relaxed);
     while (_running.load(std::memory_order_relaxed)) {
         // Injected stall: the worker stays joinable (stop() still
         // works) but never drains again and never bumps its heartbeat,
         // which is exactly the failure the health watchdog must catch.
-        // Sticky by design — a wedged loop does not recover.
+        // Sticky by design — a wedged loop does not recover; it waits
+        // like an idle one.
         if (!wedged &&
             faultinject::fire(faultinject::Site::VerifierShardStall)) {
             wedged = true;
             logWarn("verifier: injected stall wedges shard ",
                     shard_index);
         }
-        if (wedged) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        // Sampled before the drain, so a kick that lands during it ends
+        // the wait below at once.
+        const std::uint64_t kicks_seen =
+            shard.gate_kicks.load(std::memory_order_acquire);
+        const std::size_t found = wedged ? 0 : pollShard(shard_index);
+        const bool ring_full =
+            shard.ring_full.exchange(false, std::memory_order_relaxed);
+        idle_rounds = found > 0 ? 0 : idle_rounds + 1;
+        if (found >= kMaxPollBatch || ring_full)
             continue;
-        }
-        if (pollShard(shard_index) > 0) {
-            idle_rounds = 0;
-            continue;
-        }
-        if (++idle_rounds < kSpinsBeforeSleep) {
-            std::this_thread::yield();
-        } else {
+
+        const auto woken = [&] {
+            return shard.gate_kicks.load(std::memory_order_acquire) !=
+                       kicks_seen ||
+                   !_running.load(std::memory_order_relaxed);
+        };
+        if (idle_rounds >= kSpinsBeforeSleep) {
             if (telemetry::enabled()) {
                 idleSleepsCounter().inc();
-                _shards[shard_index]->idle_sleeps_metric->inc();
+                shard.idle_sleeps_metric->inc();
             }
-            // Kick-aware nap: a gate kick (one of this shard's pids
-            // trapped into a syscall) ends it immediately, so the
-            // drain that produces the ack starts while the syscall
-            // spins or yields instead of a nap period later.
             std::unique_lock<std::mutex> lk(shard.wake_mutex);
-            shard.wake_cv.wait_for(
-                lk, std::chrono::microseconds(10), [&] {
-                    return shard.gate_kicks.load(
-                               std::memory_order_acquire) != kicks_seen ||
-                           !_running.load(std::memory_order_relaxed);
-                });
+            shard.wake_cv.wait_for(lk, kDrainQuantum, woken);
+        } else {
+            const auto deadline =
+                std::chrono::steady_clock::now() + kDrainQuantum;
+            for (unsigned spins = 1;
+                 !woken() && std::chrono::steady_clock::now() < deadline;
+                 ++spins) {
+                if (spins % kPausesPerYield == 0)
+                    std::this_thread::yield();
+                else
+                    cpuRelax();
+            }
         }
-        kicks_seen = shard.gate_kicks.load(std::memory_order_acquire);
     }
 }
 
@@ -329,6 +365,10 @@ Verifier::pollShard(std::size_t shard_index)
     // Liveness signal for the health watchdog: one relaxed increment
     // per drain pass, whoever drives it (worker thread or poll()).
     shard.heartbeat.fetch_add(1, std::memory_order_relaxed);
+    if (telemetry::enabled()) {
+        drainPassesCounter().inc();
+        shard.drain_passes_metric->inc();
+    }
     if (_crashed.load(std::memory_order_relaxed))
         return 0; // a dead verifier verifies nothing
     if (faultinject::fire(faultinject::Site::VerifierSlowPoll))
@@ -395,6 +435,10 @@ Verifier::drainChannel(Shard &shard, ChannelEntry &entry, Message *scratch,
         return 0;
     const bool framed = entry.channel->format() == WireFormat::V2;
     const std::size_t cap = entry.channel->recvCapacity();
+    // A full ring blocks its producer until this drain consumes, so
+    // the worker must re-poll at once rather than wait out a quantum.
+    if (cap != 0 && span.total() >= cap)
+        shard.ring_full.store(true, std::memory_order_relaxed);
     // v2 decode budgets: the ring bound rejects headers whose footprint
     // can never fit (waiting for them would hang the drain); the record
     // bound is the hard scratch-buffer ceiling, not the per-round

@@ -344,11 +344,16 @@ class Verifier : public ProcessEventListener
         /// Only populated while telemetry is enabled.
         std::vector<std::uint64_t> pending_ack_ns;
         /// Gate-kick wakeup: onSyscallGate bumps gate_kicks and
-        /// notifies, so an idle worker's nap ends the moment one of
-        /// its pids traps into a syscall instead of at the nap timer.
+        /// notifies, so the worker's wait (spinning or parked) ends the
+        /// moment one of its pids traps into a syscall instead of at
+        /// the drain quantum.
         std::mutex wake_mutex;
         std::condition_variable wake_cv;
         std::atomic<std::uint64_t> gate_kicks{0};
+        /// Set by a drain whose peek found a channel's ring full (its
+        /// producer is blocked); the worker clears it and re-polls at
+        /// once instead of waiting.
+        std::atomic<bool> ring_full{false};
         std::thread thread;
         /// Always-on per-shard message count (tests, cheap roll-ups).
         std::atomic<std::uint64_t> messages{0};
@@ -359,6 +364,7 @@ class Verifier : public ProcessEventListener
         telemetry::Counter *violations_metric = nullptr;
         telemetry::Counter *syscall_acks_metric = nullptr;
         telemetry::Counter *idle_sleeps_metric = nullptr;
+        telemetry::Counter *drain_passes_metric = nullptr;
     };
 
     /// Sentinel for "no lag sample matched this message".

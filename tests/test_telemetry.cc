@@ -609,10 +609,11 @@ TEST(VerifierIntegration, IdleEventLoopBacksOffToSleep)
     auto &counter = Registry::instance().counter("verifier.idle_sleeps");
     const std::uint64_t before = counter.value();
     verifier.start();
-    // No traffic: after the bounded spin window the loop must start
-    // sleeping rather than burning the core. The window is 64 yields,
-    // and each can give the core away for a whole time slice on a
-    // loaded host, so wait for the first nap under a generous deadline
+    // No traffic: after the bounded spin window the loop must park
+    // rather than burn the core. The window is 64 empty drains, each
+    // followed by a spin of one drain quantum that yields now and then
+    // and can give the core away for a whole time slice on a loaded
+    // host, so wait for the first parked wait under a generous deadline
     // instead of a fixed sleep.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(20);
@@ -621,6 +622,33 @@ TEST(VerifierIntegration, IdleEventLoopBacksOffToSleep)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     verifier.stop();
     EXPECT_GT(counter.value(), before);
+}
+
+TEST(VerifierIntegration, DrainPassesCountEveryPassPerShardAndRolledUp)
+{
+    TelemetryOn on;
+
+    KernelModule kernel;
+    auto policy = std::make_shared<PointerIntegrityPolicy>();
+    Verifier::Config config;
+    config.num_shards = 2;
+    Verifier verifier(kernel, policy, config);
+
+    auto &registry = Registry::instance();
+    auto &total = registry.counter("verifier.drain_passes");
+    auto &shard0 = registry.counter("verifier.shard0.drain_passes");
+    auto &shard1 = registry.counter("verifier.shard1.drain_passes");
+    const std::uint64_t total_before = total.value();
+    const std::uint64_t shard0_before = shard0.value();
+    const std::uint64_t shard1_before = shard1.value();
+    // A pass counts whether or not it finds work: poll() makes one per
+    // shard, pollShard() one on its shard.
+    verifier.poll();
+    verifier.poll();
+    verifier.pollShard(1);
+    EXPECT_EQ(total.value() - total_before, 5u);
+    EXPECT_EQ(shard0.value() - shard0_before, 2u);
+    EXPECT_EQ(shard1.value() - shard1_before, 3u);
 }
 
 } // namespace
