@@ -1,7 +1,7 @@
 /**
  * @file
  * Small bit-manipulation helpers shared by the ring buffers and the
- * flat hash map (power-of-two capacity sizing).
+ * lag sidecar (power-of-two capacity sizing).
  */
 
 #ifndef HQ_COMMON_BITS_H

@@ -1,7 +1,7 @@
 /**
  * @file
- * Ordered map over contiguous sorted leaves, for the policy shadow
- * stores that answer address-range questions.
+ * Ordered map over contiguous sorted leaves: the one table structure
+ * behind every policy's per-address (or per-id) state.
  *
  * The pointer-integrity and memory-safety verifiers need point lookups
  * on every message (POINTER-DEFINE/CHECK, ALLOCATION-CHECK) and range
@@ -10,7 +10,10 @@
  * looks for the allocation whose interval contains an address). A hash
  * table answers the first in O(1) but the second only by scanning the
  * whole table; a node-based std::map answers both in O(log n) but pays
- * a heap allocation and a pointer chase per entry.
+ * a heap allocation and a pointer chase per entry. The tables that take
+ * only point lookups today (IFC labels, DFI last writers, event
+ * counters) use this map too, so every policy keeps its state in one
+ * structure and any of them can grow a range operation.
  *
  * This map keeps entries sorted in fixed-size leaves of LeafCapacity
  * keys and values (keys in one array, so an in-leaf search walks
@@ -26,8 +29,9 @@
  *  - range bounds are inclusive ([first, last]), so a range ending at
  *    the top of the key space needs no one-past-the-end key;
  *  - values are returned by copy from lowerBound()/floor(); find()
- *    returns a pointer that, like FlatMap's, is invalidated by the next
- *    insert or erase.
+ *    returns a pointer that is invalidated by the next insert or erase;
+ *  - const operations write nothing, so any number of threads may read
+ *    one map while no thread modifies it.
  */
 
 #ifndef HQ_COMMON_ORDERED_MAP_H

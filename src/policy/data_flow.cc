@@ -17,7 +17,7 @@ DataFlowContext::handleMessage(const Message &message)
         // Writer ids above 63 cannot be expressed in a read's allowed
         // bitmask; clamp defensively (the instrumentation assigns dense
         // small ids).
-        _last_writer[message.arg0] = message.arg1 & 63;
+        _last_writer.insertOrAssign(message.arg0, message.arg1 & 63);
         return Status::ok();
 
       case Opcode::DfiRead: {

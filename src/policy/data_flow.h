@@ -18,7 +18,7 @@
 
 #include <cstdint>
 
-#include "common/flat_map.h"
+#include "common/ordered_map.h"
 #include "policy/policy.h"
 
 namespace hq {
@@ -43,9 +43,9 @@ class DataFlowContext : public PolicyContext
 
   private:
     Pid _pid;
-    /// DFI last-writer table: every protected load and store hits it, so
-    /// it uses the open-addressed flat map (point lookups only).
-    FlatMap<Addr, std::uint64_t> _last_writer;
+    /// DFI last-writer table: every protected load and store probes it,
+    /// in the same ordered slice as the other per-address tables.
+    OrderedMap<Addr, std::uint64_t> _last_writer;
     std::uint64_t _violations = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "policy/ifc.h"
 
-#include <algorithm>
-
 #include "telemetry/telemetry.h"
 
 namespace hq {
@@ -27,7 +25,7 @@ IfcContext::handleMessage(const Message &message)
         if (message.arg1 == label::kPublic)
             _labels.erase(message.arg0);
         else
-            _labels[message.arg0] = message.arg1;
+            _labels.insertOrAssign(message.arg0, message.arg1);
         return Status::ok();
 
       case Opcode::LabelJoin: {
@@ -36,7 +34,7 @@ IfcContext::handleMessage(const Message &message)
         const std::uint64_t src = labelOf(message.arg0);
         if (src == label::kPublic)
             return Status::ok(); // join with bottom is a no-op
-        _labels[message.arg1] |= src;
+        _labels.insertOrAssign(message.arg1, labelOf(message.arg1) | src);
         return Status::ok();
       }
 
@@ -73,10 +71,10 @@ IfcContext::tableSnapshot() const
 {
     std::vector<std::pair<Addr, std::uint64_t>> entries;
     entries.reserve(_labels.size());
-    _labels.forEach([&entries](Addr address, std::uint64_t label) {
-        entries.emplace_back(address, label);
-    });
-    std::sort(entries.begin(), entries.end());
+    _labels.forRange(0, kMaxAddr,
+                     [&entries](Addr address, std::uint64_t label) {
+                         entries.emplace_back(address, label);
+                     });
     return entries;
 }
 
@@ -90,10 +88,10 @@ IfcContext::tableFingerprint() const
             hash *= 0x100000001b3ull;
         }
     };
-    for (const auto &[address, label] : tableSnapshot()) {
+    _labels.forRange(0, kMaxAddr, [&mix](Addr address, std::uint64_t label) {
         mix(address);
         mix(label);
-    }
+    });
     return hash;
 }
 

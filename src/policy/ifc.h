@@ -13,7 +13,7 @@
  *   LABEL-JOIN(src, dst)  data flowed src -> dst; label(dst) |= label(src)
  *   LABEL-CHECK(a, forbid) value at a reaches a sink forbidding `forbid`
  *
- * and the verifier keeps a per-process address->label FlatMap slice,
+ * and the verifier keeps a per-process address->label OrderedMap slice,
  * flagging any check whose joined label intersects the sink's forbidden
  * set — the signature of a data-only leak that CFI cannot see (control
  * flow stays entirely valid).
@@ -26,7 +26,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/flat_map.h"
+#include "common/ordered_map.h"
 #include "policy/policy.h"
 
 namespace hq {
@@ -48,34 +48,17 @@ class IfcContext : public PolicyContext
     std::size_t entryCount() const override { return _labels.size(); }
     const char *violationFamily() const override { return "ifc"; }
 
-    /** Prefetch the label-table buckets a drained batch will probe. */
-    void
-    prefetchBatch(const Message *messages, std::size_t count) override
-    {
-        for (std::size_t i = 0; i < count; ++i) {
-            switch (messages[i].op) {
-              case Opcode::LabelDef:
-              case Opcode::LabelCheck:
-              case Opcode::LabelJoin:
-                _labels.prefetch(messages[i].arg0);
-                break;
-              default:
-                break;
-            }
-        }
-    }
-
     /** Current label of an address (kPublic when unlabeled). */
     std::uint64_t labelOf(Addr address) const;
 
     std::uint64_t violationCount() const { return _violations; }
 
     /**
-     * Order-independent fingerprint of the label table (FNV-1a over the
-     * sorted (address, label) pairs). Two tables holding identical
-     * bindings fingerprint identically regardless of FlatMap probe
-     * history — the crash-recovery replay tests compare a replayed
-     * verifier's table against an uncrashed reference with this.
+     * Fingerprint of the label table (FNV-1a over the (address, label)
+     * pairs in address order). Two tables holding identical bindings
+     * fingerprint identically whatever order they were built in — the
+     * crash-recovery replay tests compare a replayed verifier's table
+     * against an uncrashed reference with this.
      */
     std::uint64_t tableFingerprint() const;
 
@@ -84,10 +67,10 @@ class IfcContext : public PolicyContext
 
   private:
     Pid _pid;
-    /// Address -> label bitmask. Same open-addressed FlatMap slice shape
-    /// as the CFI shadow store; unlabeled (PUBLIC) addresses hold no
-    /// entry so entryCount() reflects only live taint.
-    FlatMap<Addr, std::uint64_t> _labels;
+    /// Address -> label bitmask, the same ordered slice as the CFI
+    /// shadow store; unlabeled (PUBLIC) addresses hold no entry so
+    /// entryCount() reflects only live taint.
+    OrderedMap<Addr, std::uint64_t> _labels;
     std::uint64_t _violations = 0;
 };
 

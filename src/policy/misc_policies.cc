@@ -6,7 +6,8 @@ Status
 EventCountContext::handleMessage(const Message &message)
 {
     if (message.op == Opcode::EventCount)
-        _counters[message.arg0] += message.arg1;
+        _counters.insertOrAssign(message.arg0,
+                                 counter(message.arg0) + message.arg1);
     return Status::ok();
 }
 

@@ -9,7 +9,7 @@
 
 #include <cstdint>
 
-#include "common/flat_map.h"
+#include "common/ordered_map.h"
 #include "policy/policy.h"
 
 namespace hq {
@@ -33,7 +33,7 @@ class EventCountContext : public PolicyContext
 
   private:
     Pid _pid;
-    FlatMap<std::uint64_t, std::uint64_t> _counters;
+    OrderedMap<std::uint64_t, std::uint64_t> _counters;
 };
 
 class EventCountPolicy : public Policy

@@ -34,20 +34,6 @@ class PolicyContext
      */
     virtual Status handleMessage(const Message &message) = 0;
 
-    /**
-     * Batched cache warm-up: the verifier is about to feed these
-     * messages to handleMessage() in order. Implementations with large
-     * point-lookup tables prefetch the buckets the batch will probe so
-     * the misses overlap; the default does nothing. Must not mutate
-     * state or report violations — purely a performance hint.
-     */
-    virtual void
-    prefetchBatch(const Message *messages, std::size_t count)
-    {
-        (void)messages;
-        (void)count;
-    }
-
     /** Deep-copy the context for a fork/clone child. */
     virtual std::unique_ptr<PolicyContext> cloneForChild(Pid child) const = 0;
 

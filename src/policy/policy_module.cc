@@ -16,13 +16,6 @@ MultiPolicyContext::handleMessage(const Message &message)
     return Status::ok();
 }
 
-void
-MultiPolicyContext::prefetchBatch(const Message *messages, std::size_t count)
-{
-    for (Slot &slot : _slots)
-        slot.context->prefetchBatch(messages, count);
-}
-
 std::unique_ptr<PolicyContext>
 MultiPolicyContext::cloneForChild(Pid child) const
 {

@@ -96,7 +96,6 @@ class MultiPolicyContext : public PolicyContext
     {}
 
     Status handleMessage(const Message &message) override;
-    void prefetchBatch(const Message *messages, std::size_t count) override;
     std::unique_ptr<PolicyContext> cloneForChild(Pid child) const override;
     std::size_t entryCount() const override;
     const char *violationFamily() const override { return _last_family; }

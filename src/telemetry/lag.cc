@@ -32,7 +32,6 @@ LagSidecar::LagSidecar(void *region, std::size_t capacity, bool initialize)
     _region = new (region) LagSidecarRegion;
     _region->tail.store(0, std::memory_order_relaxed);
     _region->head.store(0, std::memory_order_relaxed);
-    _region->dropped.store(0, std::memory_order_relaxed);
 }
 
 bool
@@ -40,10 +39,8 @@ LagSidecar::stamp(std::uint64_t seq, std::uint64_t enqueue_ns)
 {
     const std::uint64_t tail = _region->tail.load(std::memory_order_relaxed);
     const std::uint64_t head = _region->head.load(std::memory_order_acquire);
-    if (tail - head > _mask) {
-        _region->dropped.fetch_add(1, std::memory_order_relaxed);
+    if (tail - head > _mask)
         return false;
-    }
     _region->slots[tail & _mask] = {seq, enqueue_ns};
     _region->tail.store(tail + 1, std::memory_order_release);
     return true;

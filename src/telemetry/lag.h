@@ -15,7 +15,8 @@
  * for some sends, or a producer bypassed the stamping wrapper, the
  * consumer discards envelopes whose sequence has already passed and
  * simply reports no lag sample for unmatched messages. A full sidecar
- * drops the newest stamp (counted) — lag tracing is a window, never a
+ * drops the newest stamp (the sending channel counts it in
+ * `ipc.lag_stamp_dropped`) — lag tracing is a window, never a
  * source of back-pressure.
  *
  * The slot storage can live in caller-provided memory so the
@@ -47,7 +48,6 @@ struct LagSidecarRegion
 {
     alignas(64) std::atomic<std::uint64_t> tail;    //!< producer cursor
     alignas(64) std::atomic<std::uint64_t> head;    //!< consumer cursor
-    std::atomic<std::uint64_t> dropped;             //!< stamps lost (full)
     LagStamp slots[]; // NOLINT: flexible array, sized at creation
 };
 
@@ -97,12 +97,6 @@ class LagSidecar
 
     /** Envelopes stamped but not yet consumed. */
     std::size_t pending() const;
-
-    /** Stamps dropped because the sidecar was full. */
-    std::uint64_t dropped() const
-    {
-        return _region->dropped.load(std::memory_order_relaxed);
-    }
 
     std::size_t capacity() const { return _mask + 1; }
 

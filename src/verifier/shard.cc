@@ -13,10 +13,8 @@ ShardRegistry::assign(Pid pid)
 {
     const std::size_t shard = shardOf(pid);
     std::lock_guard<std::mutex> guard(_mutex);
-    if (!_live.contains(pid)) {
-        _live.insertOrAssign(pid, static_cast<std::uint32_t>(shard));
+    if (_live.insert(pid).second)
         ++_per_shard[shard];
-    }
     return shard;
 }
 
@@ -34,7 +32,7 @@ bool
 ShardRegistry::isLive(Pid pid) const
 {
     std::lock_guard<std::mutex> guard(_mutex);
-    return _live.contains(pid);
+    return _live.count(pid) != 0;
 }
 
 std::size_t
@@ -49,18 +47,6 @@ ShardRegistry::liveCount() const
 {
     std::lock_guard<std::mutex> guard(_mutex);
     return _live.size();
-}
-
-std::vector<Pid>
-ShardRegistry::livePids() const
-{
-    std::lock_guard<std::mutex> guard(_mutex);
-    std::vector<Pid> pids;
-    pids.reserve(_live.size());
-    _live.forEach([&pids](const Pid &pid, const std::uint32_t &) {
-        pids.push_back(pid);
-    });
-    return pids;
 }
 
 } // namespace hq

@@ -8,7 +8,7 @@
  * is asynchronous anyway — is exactly what makes sharding by pid safe.
  * Every monitored pid is assigned to one of N shards by a deterministic
  * hash at process start, and everything that pid touches (its
- * AppendWrite channels, its policy context and FlatMap tables, its lag
+ * AppendWrite channels, its policy context and its tables, its lag
  * envelopes, its per-shard metrics) lives on that shard. The hot path
  * therefore never crosses shards: cross-shard coordination happens only
  * at process start/exit and during crash-recovery replay, through the
@@ -26,9 +26,9 @@
 
 #include <cstdint>
 #include <mutex>
+#include <unordered_set>
 #include <vector>
 
-#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace hq {
@@ -91,13 +91,10 @@ class ShardRegistry
     /** Total live pids across all shards. */
     std::size_t liveCount() const;
 
-    /** Snapshot of every live pid (stats sweeps, kill-on-exit). */
-    std::vector<Pid> livePids() const;
-
   private:
     const std::size_t _num_shards;
     mutable std::mutex _mutex;
-    FlatMap<Pid, std::uint32_t> _live; //!< live pid -> shard index
+    std::unordered_set<Pid> _live; //!< live pids (shard: shardOf())
     std::vector<std::size_t> _per_shard;
 };
 

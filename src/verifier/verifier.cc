@@ -542,16 +542,6 @@ Verifier::processBatch(Shard &shard, ChannelEntry &entry,
         // swapped when a device-stamped batch switches to a pid hashing
         // elsewhere).
         PidMemo memo;
-        // Warm the policy tables once per batch. Software channels
-        // carry a single pid, so the context is known up front;
-        // device-stamped channels interleave pids and skip the hint.
-        if (!entry.device_stamped) {
-            ProcessEntry *process = lookupProcess(entry.owner, memo);
-            if (process != nullptr && !process->exited &&
-                process->context) {
-                process->context->prefetchBatch(batch, n);
-            }
-        }
         for (std::size_t i = 0; i < n; ++i) {
             handleMessage(shard, entry, batch[i], memo,
                           telemetry_on ? lag_ns[i] : kNoLag);

@@ -14,7 +14,7 @@
  * implementation shards the loop: each monitored pid is assigned to one
  * of Config::num_shards worker shards by a consistent hash at process
  * start (src/verifier/shard.h), and that shard owns the pid's channels,
- * policy context (FlatMap tables), lag-envelope matching, and metrics.
+ * policy context (OrderedMap tables), lag-envelope matching, and metrics.
  * The per-message hot path never takes a cross-shard lock; shards
  * coordinate only at process start/exit and crash-recovery replay via
  * the ShardRegistry. Device-stamped channels (FPGA) may carry messages
@@ -387,7 +387,7 @@ class Verifier : public ProcessEventListener
                              Message *scratch, std::size_t batch_max);
     /**
      * Feed n integrity-checked messages drained from entry through lag
-     * matching, policy prefetch, and handleMessage; advances
+     * matching and handleMessage; advances
      * entry.recv_index and the batch telemetry. n must be > 0.
      */
     void processBatch(Shard &shard, ChannelEntry &entry,

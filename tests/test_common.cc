@@ -1,12 +1,15 @@
 /**
  * @file
- * Unit tests for src/common: status, stats, RNG determinism, logging.
+ * Unit tests for src/common: status, stats, RNG determinism, logging,
+ * and the power-of-two rounding the rings size themselves with.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "common/bits.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -190,6 +193,28 @@ TEST(Timer, MeasuresForwardTime)
         sink = sink + i;
     EXPECT_GT(timer.elapsedNs(), 0u);
     EXPECT_GE(timer.elapsedSeconds(), 0.0);
+}
+
+TEST(RoundUpPow2, SmallValues)
+{
+    EXPECT_EQ(roundUpPow2(0), 1u);
+    EXPECT_EQ(roundUpPow2(1), 1u);
+    EXPECT_EQ(roundUpPow2(2), 2u);
+    EXPECT_EQ(roundUpPow2(3), 4u);
+    EXPECT_EQ(roundUpPow2(1000), 1024u);
+    EXPECT_EQ(roundUpPow2(1024), 1024u);
+    EXPECT_EQ(roundUpPow2(1025), 2048u);
+}
+
+TEST(RoundUpPow2, HugeValuesClampInsteadOfOverflowing)
+{
+    // Past the top power of two the helper clamps to the largest
+    // representable power instead of looping or overflowing to 0.
+    constexpr std::size_t top =
+        std::size_t{1} << (std::numeric_limits<std::size_t>::digits - 1);
+    EXPECT_EQ(roundUpPow2(top), top);
+    EXPECT_EQ(roundUpPow2(top + 1), top);
+    EXPECT_EQ(roundUpPow2(~std::size_t{0}), top);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential tests for the ordered shadow store (common/ordered_map.h)
- * and the three policy tables built on it.
+ * and the policy tables built on it.
  *
  * The map runs against std::map over seeded random point, range and copy
  * operations, with small leaves so splits, merges and leaf release
@@ -11,19 +11,26 @@
  * its rules, written as plain full scans, over seeded random message
  * streams that include overlapping COPY/MOVE ranges and ranges at the
  * top of the address space; verdicts, entryCount() and lookups must
- * agree after every message.
+ * agree after every message. IfcContext, DataFlowContext and
+ * EventCountContext run the same way, and each is cloned mid-stream:
+ * the clone takes over the stream, and the parent must keep the table
+ * it had when it was cloned.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "common/ordered_map.h"
 #include "common/rng.h"
+#include "policy/data_flow.h"
+#include "policy/ifc.h"
 #include "policy/memory_safety.h"
 #include "policy/memory_tagging.h"
+#include "policy/misc_policies.h"
 #include "policy/pointer_integrity.h"
 
 namespace hq {
@@ -616,6 +623,269 @@ TEST(PolicyDifferential, MemoryTaggingMatchesReferenceModel)
             }
         }
     }
+}
+
+/**
+ * Drive Context and Model with one seeded stream of next(rng) messages
+ * and compare them after every message with model.expectMatches(). At
+ * the midpoint the context is cloned for a child: the clone takes over
+ * the stream (its model told so by model.cloned()), and the parent,
+ * which sees no more messages, must keep matching a copy of the model
+ * taken at the clone.
+ */
+template <typename Context, typename Model, typename Next>
+void
+runContextDifferential(Next &&next)
+{
+    constexpr int kSteps = 3000;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        Rng rng(seed);
+        std::unique_ptr<PolicyContext> active = std::make_unique<Context>(1);
+        Model model;
+        std::unique_ptr<PolicyContext> parent;
+        Model parent_model;
+        for (int step = 0; step < kSteps; ++step) {
+            SCOPED_TRACE(::testing::Message() << "seed " << seed << " step "
+                                              << step);
+            if (step == kSteps / 2) {
+                parent = std::move(active);
+                parent_model = model;
+                active = parent->cloneForChild(2);
+                model.cloned();
+            }
+            const Message m = next(rng);
+            ASSERT_EQ(active->handleMessage(m).isOk(), model.handle(m))
+                << m.toString();
+            ASSERT_NO_FATAL_FAILURE(
+                model.expectMatches(static_cast<const Context &>(*active), m));
+            // The parent cannot change, so a sparser check suffices.
+            if (parent && (step % 64 == 0 || step == kSteps - 1)) {
+                ASSERT_NO_FATAL_FAILURE(parent_model.expectMatches(
+                    static_cast<const Context &>(*parent), m));
+            }
+        }
+    }
+}
+
+/** FNV-1a over the (key, value) pairs in key order: the recipe of
+ *  IfcContext::tableFingerprint(), over the model's table. */
+std::uint64_t
+fingerprintOf(const std::map<std::uint64_t, std::uint64_t> &table)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    auto mix = [&hash](std::uint64_t value) {
+        for (int i = 0; i < 8; ++i) {
+            hash ^= (value >> (i * 8)) & 0xFF;
+            hash *= 0x100000001b3ull;
+        }
+    };
+    for (const auto &[key, value] : table) {
+        mix(key);
+        mix(value);
+    }
+    return hash;
+}
+
+/** Addresses worth probing after message m: its operands, a neighbour
+ *  of each, and every key the model holds. With entryCount() equal,
+ *  matching on every model key means the two tables are identical. */
+std::vector<Addr>
+probesAfter(const Message &m, const std::map<std::uint64_t, std::uint64_t> &table)
+{
+    std::vector<Addr> probes{m.arg0, m.arg1, m.arg0 + 8, m.arg1 + 8};
+    for (const auto &entry : table)
+        probes.push_back(entry.first);
+    return probes;
+}
+
+/** IFC label rules over a std::map: PUBLIC (0) is stored as no entry,
+ *  a join ORs the source's label into the destination, and a check
+ *  fails when the flowing label meets the forbidden set. */
+struct LabelModel
+{
+    std::map<Addr, std::uint64_t> labels;
+    std::uint64_t violations = 0;
+
+    /** A child inherits the labels but counts its own violations. */
+    void cloned() { violations = 0; }
+
+    std::uint64_t
+    labelOf(Addr address) const
+    {
+        const auto it = labels.find(address);
+        return it == labels.end() ? label::kPublic : it->second;
+    }
+
+    bool
+    handle(const Message &m)
+    {
+        switch (m.op) {
+          case Opcode::LabelDef:
+            if (m.arg1 == label::kPublic)
+                labels.erase(m.arg0);
+            else
+                labels[m.arg0] = m.arg1;
+            return true;
+          case Opcode::LabelJoin:
+            if (labelOf(m.arg0) != label::kPublic)
+                labels[m.arg1] |= labelOf(m.arg0);
+            return true;
+          case Opcode::LabelCheck:
+            if ((labelOf(m.arg0) & m.arg1) == 0)
+                return true;
+            ++violations;
+            return false;
+          default:
+            return true;
+        }
+    }
+
+    void
+    expectMatches(const IfcContext &ctx, const Message &m) const
+    {
+        ASSERT_EQ(ctx.entryCount(), labels.size());
+        ASSERT_EQ(ctx.violationCount(), violations);
+        ASSERT_EQ(ctx.tableFingerprint(), fingerprintOf(labels));
+        for (Addr probe : probesAfter(m, labels))
+            ASSERT_EQ(ctx.labelOf(probe), labelOf(probe)) << std::hex << probe;
+    }
+};
+
+TEST(PolicyDifferential, IfcMatchesReferenceModel)
+{
+    runContextDifferential<IfcContext, LabelModel>([](Rng &rng) {
+        const Addr a = randomAddr(rng);
+        const Addr b = randomAddr(rng);
+        // Labels and forbidden sets from the low facets, so checks hit
+        // and a quarter of the definitions declassify to PUBLIC.
+        const std::uint64_t facets = rng.nextBelow(4);
+        const std::uint64_t pick = rng.nextBelow(100);
+        if (pick < 35)
+            return Message(Opcode::LabelDef, a, facets);
+        if (pick < 65)
+            return Message(Opcode::LabelJoin, a, b);
+        if (pick < 95)
+            return Message(Opcode::LabelCheck, a, facets);
+        return Message(Opcode::PointerDefine, a, b); // another policy's
+    });
+}
+
+/** DFI rules over a std::map: a write records its writer id clamped to
+ *  the 64 a read's allowed mask can name, and a read passes when the
+ *  last writer (0 for unwritten memory) is in its mask. */
+struct WriterModel
+{
+    std::map<Addr, std::uint64_t> writers;
+    std::uint64_t violations = 0;
+
+    /** A child inherits the writers but counts its own violations. */
+    void cloned() { violations = 0; }
+
+    std::uint64_t
+    lastWriter(Addr address) const
+    {
+        const auto it = writers.find(address);
+        return it == writers.end() ? DataFlowContext::kInitialWriter
+                                   : it->second;
+    }
+
+    bool
+    handle(const Message &m)
+    {
+        switch (m.op) {
+          case Opcode::DfiWrite:
+            writers[m.arg0] = m.arg1 % 64;
+            return true;
+          case Opcode::DfiRead:
+            if ((m.arg1 >> lastWriter(m.arg0)) & 1)
+                return true;
+            ++violations;
+            return false;
+          default:
+            return true;
+        }
+    }
+
+    void
+    expectMatches(const DataFlowContext &ctx, const Message &m) const
+    {
+        ASSERT_EQ(ctx.entryCount(), writers.size());
+        ASSERT_EQ(ctx.violationCount(), violations);
+        for (Addr probe : probesAfter(m, writers)) {
+            ASSERT_EQ(ctx.lastWriter(probe), lastWriter(probe))
+                << std::hex << probe;
+        }
+    }
+};
+
+TEST(PolicyDifferential, DataFlowMatchesReferenceModel)
+{
+    runContextDifferential<DataFlowContext, WriterModel>([](Rng &rng) {
+        const Addr a = randomAddr(rng);
+        const std::uint64_t pick = rng.nextBelow(100);
+        if (pick < 45) {
+            // Mostly dense small ids; sometimes one past 63 (or any
+            // 64-bit id), which the clamp must fold.
+            const std::uint64_t writer =
+                rng.chance(0.8) ? rng.nextBelow(6)
+                                : (rng.chance(0.5) ? 64 + rng.nextBelow(6)
+                                                   : rng.next());
+            return Message(Opcode::DfiWrite, a, writer);
+        }
+        if (pick < 95) {
+            const std::uint64_t allowed =
+                rng.chance(0.7) ? rng.nextBelow(64) : rng.next();
+            return Message(Opcode::DfiRead, a, allowed);
+        }
+        return Message(Opcode::LabelDef, a, 1); // another policy's
+    });
+}
+
+/** Event-count rules over a std::map: every EVENT-COUNT adds its delta
+ *  (mod 2^64), and the first one for an id creates its counter even
+ *  when the delta is 0. */
+struct CounterModel
+{
+    std::map<std::uint64_t, std::uint64_t> counters;
+
+    /** A child inherits every counter. */
+    void cloned() {}
+
+    std::uint64_t
+    counter(std::uint64_t id) const
+    {
+        const auto it = counters.find(id);
+        return it == counters.end() ? 0 : it->second;
+    }
+
+    bool
+    handle(const Message &m)
+    {
+        if (m.op == Opcode::EventCount)
+            counters[m.arg0] += m.arg1;
+        return true;
+    }
+
+    void
+    expectMatches(const EventCountContext &ctx, const Message &m) const
+    {
+        ASSERT_EQ(ctx.entryCount(), counters.size());
+        for (std::uint64_t probe : probesAfter(m, counters))
+            ASSERT_EQ(ctx.counter(probe), counter(probe)) << std::hex << probe;
+    }
+};
+
+TEST(PolicyDifferential, EventCountMatchesReferenceModel)
+{
+    runContextDifferential<EventCountContext, CounterModel>([](Rng &rng) {
+        const std::uint64_t id = randomAddr(rng);
+        if (rng.nextBelow(100) < 90) {
+            const std::uint64_t delta =
+                rng.chance(0.9) ? rng.nextBelow(4) : rng.next();
+            return Message(Opcode::EventCount, id, delta);
+        }
+        return Message(Opcode::Heartbeat, id, 0); // another policy's
+    });
 }
 
 } // namespace
