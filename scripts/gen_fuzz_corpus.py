@@ -2,17 +2,22 @@
 """Generate the seeded v2-frame fuzz corpus (tests/data/fuzz/*.bin).
 
 Each corpus file is a whole number of 32-byte ring slots holding one v2
-frame — valid or deliberately broken — that tests/test_fuzz_frame.cc
-loads as mutation bases. The encoding mirrors src/ipc/frame.cc exactly:
+frame — valid or deliberately hostile — that tests/test_fuzz_frame.cc
+loads as mutation bases. Valid frames mirror src/ipc/frame.cc exactly:
 
   header (32B): <IIIHHIIQ  magic, pid, base_seq, count, flags,
                            body_crc, header_crc, reserved
-  fixed record (24B): <IIQQ op, reserved, arg0, arg1
-  short record (16B): <IIQ  op|0x80000000, reserved, arg0   (var only)
+  record (24B): <IIQQ      op, reserved, arg0, arg1
 
-header_crc covers the first 20 bytes; var-record frames (flags bit 0)
-chain the reserved word (which carries body_bytes) in as well. zlib's
-crc32 is the same reflected-0xEDB88320 CRC the repo computes.
+header_crc covers the first 20 bytes; flags and reserved are zero.
+zlib's crc32 is the same reflected-0xEDB88320 CRC the repo computes.
+
+The var_*.bin seeds (and bad_magic.bin, cut from var_mixed.bin) are
+reject seeds. They are frames of a retired variable-length body: flags
+bit 0 set, reserved carrying the body byte length (chained into
+header_crc), and each record with arg1 == 0 shrunk to a 16-byte
+<IIQ op|0x80000000, reserved, arg0. The decoder must refuse them as bad
+headers; they stay in the corpus as hostile inputs.
 
 Run from the repo root:  python3 scripts/gen_fuzz_corpus.py
 The output is deterministic; regenerate only when the wire format
@@ -79,12 +84,12 @@ def main():
         (OP_LABEL_DEF, 0x1000, 0x2),        # bind SECRET
         (OP_LABEL_JOIN, 0x1000, 0x2000),    # propagate
         (OP_LABEL_CHECK, 0x2000, 0x2),      # sink check
-        (OP_LABEL_DEF, 0x1000, 0),          # declassify (short in var)
+        (OP_LABEL_DEF, 0x1000, 0),          # declassify
     ]
     mixed_records = [
         (OP_POINTER_DEFINE, 0x7000, 0x400000),
         (OP_POINTER_CHECK, 0x7000, 0x400000),
-        (OP_POINTER_INVALIDATE, 0x7000, 0),  # short in var form
+        (OP_POINTER_INVALIDATE, 0x7000, 0),
     ] + label_records
 
     corpus = {}

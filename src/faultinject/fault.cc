@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 #include <sstream>
 #include <vector>
@@ -27,7 +28,7 @@ struct SiteInfo
     bool latency_only;
 };
 
-constexpr SiteInfo kSiteInfo[kNumSites] = {
+constexpr SiteInfo kSiteInfo[] = {
     {"ring_drop", false},
     {"ring_dup", false},
     {"ring_corrupt", false},
@@ -46,6 +47,8 @@ constexpr SiteInfo kSiteInfo[kNumSites] = {
     // the kernel's epoch timeout (and the health watchdog) catch it.
     {"verifier_shard_stall", true},
 };
+static_assert(std::size(kSiteInfo) == static_cast<std::size_t>(kNumSites),
+              "every fault Site needs a kSiteInfo row");
 
 // splitmix64: seeds the per-site xorshift64 streams (src/common/rng.h
 // uses the same finalizer for xoshiro seeding).

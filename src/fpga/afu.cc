@@ -41,7 +41,7 @@ FpgaAfu::mmioWritesFor(Opcode op)
 void
 FpgaAfu::stallForMmioWrite() const
 {
-    if (!_config.model_latency || _config.mmio_write_ns == 0)
+    if (_config.mmio_write_ns == 0)
         return;
     using Clock = std::chrono::steady_clock;
     const auto deadline =

@@ -43,10 +43,11 @@ struct FpgaConfig
 {
     /** Host circular-buffer capacity, in messages (paper: 1 GB). */
     std::size_t host_buffer_messages = 1 << 16;
-    /** Modeled latency of one uncached MMIO posted write, nanoseconds. */
+    /**
+     * Modeled latency of one uncached MMIO posted write, nanoseconds;
+     * 0 turns the latency model off (functional-only mode for tests).
+     */
     std::uint32_t mmio_write_ns = 51;
-    /** Disable the latency model (functional-only mode for tests). */
-    bool model_latency = true;
 };
 
 /** The AFU register file and reassembly/writeback pipeline. */

@@ -151,14 +151,8 @@ Channel::sendFramed(const Message *messages, std::size_t count)
 
     const auto base_seq = static_cast<std::uint32_t>(_send_count);
     Message slots[frame::kMaxFrameSlots];
-    std::size_t slot_count;
-    if (_var_records) {
-        slot_count = frame::encodeVar(messages, count, messages[0].pid,
-                                      base_seq, slots);
-    } else {
-        frame::encode(messages, count, messages[0].pid, base_seq, slots);
-        slot_count = frame::frameSlots(count);
-    }
+    frame::encode(messages, count, messages[0].pid, base_seq, slots);
+    const std::size_t slot_count = frame::frameSlots(count);
 
     if (fi::armed()) {
         if (fi::fire(fi::Site::RingDrop)) {

@@ -96,27 +96,6 @@ class Channel
     }
 
     /**
-     * Opt into variable-length v2 records (frame::kFlagVarRecords):
-     * single-argument messages travel as 16-byte short records. Only
-     * meaningful after a successful negotiateFormat(V2); like format
-     * negotiation, call before the first send() — the flag changes
-     * frame bytes, so golden-fixture peers stay on fixed records by
-     * never calling this.
-     * @return true when enabled (the channel is on v2).
-     */
-    bool
-    enableVarRecords()
-    {
-        if (_format != WireFormat::V2)
-            return false;
-        _var_records = true;
-        return true;
-    }
-
-    /** True when sendBatch()/send() emit kFlagVarRecords frames. */
-    bool varRecordsEnabled() const { return _var_records; }
-
-    /**
      * Receive, step 1 — with consumeSlots() the whole receive interface
      * of a transport: lend the queued slots in place, without dequeuing
      * (at most two contiguous runs around a wrap point). A repeated
@@ -244,7 +223,6 @@ class Channel
     std::uint32_t _channel_id;
     std::uint64_t _send_count = 0;
     WireFormat _format = WireFormat::V1;
-    bool _var_records = false;
     /// _lag owns; _lag_ptr publishes (release on create, acquire in
     /// lagSidecar()) so the verifier thread can race the lazy creation.
     std::unique_ptr<telemetry::LagSidecar> _lag;

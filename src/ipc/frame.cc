@@ -88,20 +88,6 @@ crcSpanBytes(const RecvSpan &span, std::size_t off, std::size_t len)
     return crc;
 }
 
-inline std::uint32_t
-headerCrcFor(const FrameHeader &header)
-{
-    // Legacy fixed-record frames checksum the first 20 bytes only (the
-    // reserved word is required-zero there); var-record frames chain
-    // the reserved word in too, since it carries the body length that
-    // decoding depends on.
-    std::uint32_t crc = crc32::compute(&header, kHeaderCrcBytes);
-    if (header.flags & kFlagVarRecords)
-        crc = crc32::update(crc, &header.reserved,
-                            sizeof(header.reserved));
-    return crc;
-}
-
 } // namespace
 
 void
@@ -133,51 +119,8 @@ encode(const Message *messages, std::size_t count, std::uint32_t pid,
     header.flags = 0;
     header.body_crc = crc32::compute(body, body_bytes);
     header.reserved = 0;
-    header.header_crc = headerCrcFor(header);
+    header.header_crc = crc32::compute(&header, kHeaderCrcBytes);
     std::memcpy(slots_out, &header, sizeof(header));
-}
-
-std::size_t
-encodeVar(const Message *messages, std::size_t count, std::uint32_t pid,
-          std::uint32_t base_seq, Message *slots_out)
-{
-    auto *body = reinterpret_cast<unsigned char *>(slots_out + 1);
-    std::size_t off = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        if (messages[i].arg1 == 0) {
-            ShortRecord record;
-            record.op = static_cast<std::uint32_t>(messages[i].op) |
-                        kShortOpBit;
-            record.reserved = 0;
-            record.arg0 = messages[i].arg0;
-            std::memcpy(body + off, &record, sizeof(record));
-            off += sizeof(record);
-        } else {
-            PackedRecord record;
-            record.op = static_cast<std::uint32_t>(messages[i].op);
-            record.reserved = 0;
-            record.arg0 = messages[i].arg0;
-            record.arg1 = messages[i].arg1;
-            std::memcpy(body + off, &record, sizeof(record));
-            off += sizeof(record);
-        }
-    }
-    const std::size_t body_bytes = off;
-    const std::size_t slot_bytes = bodySlots(body_bytes) * sizeof(Message);
-    if (slot_bytes > body_bytes)
-        std::memset(body + body_bytes, 0, slot_bytes - body_bytes);
-
-    FrameHeader header;
-    header.magic = kMagic;
-    header.pid = pid;
-    header.base_seq = base_seq;
-    header.count = static_cast<std::uint16_t>(count);
-    header.flags = kFlagVarRecords;
-    header.body_crc = crc32::compute(body, body_bytes);
-    header.reserved = body_bytes;
-    header.header_crc = headerCrcFor(header);
-    std::memcpy(slots_out, &header, sizeof(header));
-    return 1 + bodySlots(body_bytes);
 }
 
 DecodeStatus
@@ -188,14 +131,9 @@ decode(const RecvSpan &span, const DecodeLimits &limits, FrameView &view)
 
     FrameHeader header;
     std::memcpy(&header, &span.slot(0), sizeof(header));
-    if (header.magic != kMagic ||
-        (header.flags & ~kFlagVarRecords) != 0) {
+    if (header.magic != kMagic || header.flags != 0 || header.reserved != 0)
         return DecodeStatus::BadHeader;
-    }
-    const bool var = (header.flags & kFlagVarRecords) != 0;
-    if (!var && header.reserved != 0)
-        return DecodeStatus::BadHeader;
-    if (headerCrcFor(header) != header.header_crc)
+    if (crc32::compute(&header, kHeaderCrcBytes) != header.header_crc)
         return DecodeStatus::BadHeader;
     // Count bounds are rejected outright, never clamped: a header whose
     // footprint cannot fit the transporting ring (or exceeds what the
@@ -204,59 +142,20 @@ decode(const RecvSpan &span, const DecodeLimits &limits, FrameView &view)
     const std::size_t count = header.count;
     if (count == 0 || count > kMaxRecords || count > limits.max_batch)
         return DecodeStatus::BadHeader;
-
-    // Body byte length: stated (and CRC-covered) for var frames — but
-    // still bounds-checked against what count records can occupy —
-    // derived from count for fixed frames.
-    std::size_t body_bytes;
-    if (var) {
-        body_bytes = header.reserved;
-        if (body_bytes < count * sizeof(ShortRecord) ||
-            body_bytes > count * sizeof(PackedRecord) ||
-            body_bytes % 8 != 0) {
-            return DecodeStatus::BadHeader;
-        }
-    } else {
-        body_bytes = count * sizeof(PackedRecord);
-    }
-    const std::size_t slots = 1 + bodySlots(body_bytes);
+    const std::size_t slots = frameSlots(count);
     if (slots > limits.ring_capacity)
         return DecodeStatus::BadHeader;
 
     view.pid = header.pid;
     view.base_seq = header.base_seq;
     view.count = header.count;
-    view.var = var;
-    view.body_bytes = static_cast<std::uint32_t>(body_bytes);
     view.slots = slots;
     if (span.total() < slots)
         return DecodeStatus::NeedMore;
 
-    if (crcSpanBytes(span, sizeof(Message), body_bytes) != header.body_crc)
+    if (crcSpanBytes(span, sizeof(Message), count * sizeof(PackedRecord)) !=
+        header.body_crc) {
         return DecodeStatus::BadBody;
-
-    if (var) {
-        // Structural walk: the record sizes must tile the stated body
-        // length exactly. The body CRC already matched, so a mismatch
-        // here means the *sender* emitted a malformed frame; fail
-        // closed on the whole frame rather than apply a prefix.
-        std::size_t off = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-            if (off + sizeof(std::uint32_t) > body_bytes)
-                return DecodeStatus::BadBody;
-            std::uint32_t op_word = 0;
-            copySpanBytes(span, sizeof(Message) + off, &op_word,
-                          sizeof(op_word));
-            const std::size_t size = (op_word & kShortOpBit) != 0
-                                         ? sizeof(ShortRecord)
-                                         : sizeof(PackedRecord);
-            if (off + size > body_bytes)
-                return DecodeStatus::BadBody;
-            view.rec_off[i] = static_cast<std::uint32_t>(off);
-            off += size;
-        }
-        if (off != body_bytes)
-            return DecodeStatus::BadBody;
     }
     return DecodeStatus::Ok;
 }
@@ -265,31 +164,12 @@ void
 unpackRecord(const RecvSpan &span, const FrameView &view, std::size_t i,
              Message &out)
 {
-    if (view.var) {
-        const std::size_t off = sizeof(Message) + view.rec_off[i];
-        std::uint32_t op_word = 0;
-        copySpanBytes(span, off, &op_word, sizeof(op_word));
-        if ((op_word & kShortOpBit) != 0) {
-            ShortRecord record;
-            copySpanBytes(span, off, &record, sizeof(record));
-            out.op = static_cast<Opcode>(record.op & ~kShortOpBit);
-            out.arg0 = record.arg0;
-            out.arg1 = 0;
-        } else {
-            PackedRecord record;
-            copySpanBytes(span, off, &record, sizeof(record));
-            out.op = static_cast<Opcode>(record.op);
-            out.arg0 = record.arg0;
-            out.arg1 = record.arg1;
-        }
-    } else {
-        PackedRecord record;
-        copySpanBytes(span, sizeof(Message) + i * sizeof(PackedRecord),
-                      &record, sizeof(record));
-        out.op = static_cast<Opcode>(record.op);
-        out.arg0 = record.arg0;
-        out.arg1 = record.arg1;
-    }
+    PackedRecord record;
+    copySpanBytes(span, sizeof(Message) + i * sizeof(PackedRecord), &record,
+                  sizeof(record));
+    out.op = static_cast<Opcode>(record.op);
+    out.arg0 = record.arg0;
+    out.arg1 = record.arg1;
     out.pid = view.pid;
     out.seq = view.base_seq + static_cast<std::uint32_t>(i);
     out.pad = 0; // integrity already vouched for by the frame CRCs

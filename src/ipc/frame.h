@@ -16,11 +16,11 @@
  * the lag sidecar's per-sequence matching keeps working), and two CRCs
  * cover the whole frame: `header_crc` over the first 20 header bytes,
  * `body_crc` over the packed-record bytes. The decoder is fail closed:
- * a header that does not validate — bad magic, bad CRC, count of zero,
- * count above kMaxFrameRecords / the verifier poll batch, or a slot
- * footprint that cannot fit the ring — is rejected outright (never
- * clamped), and a frame whose body CRC mismatches is skipped whole
- * (never partially applied).
+ * a header that does not validate — bad magic, bad CRC, nonzero flags
+ * or reserved, count of zero, count above kMaxRecords / the verifier
+ * poll batch, or a slot footprint that cannot fit the ring — is
+ * rejected outright (never clamped), and a frame whose body CRC
+ * mismatches is skipped whole (never partially applied).
  *
  * Frames are published atomically (one release-store per frame, see
  * SpscRing::tryPushAll), so a consumer that sees the header slot sees
@@ -117,26 +117,9 @@ constexpr std::uint32_t kMagic = 0x32465148u; // "HQF2" little-endian
 constexpr std::size_t kMaxRecords = 64;
 
 /**
- * Frame flag: the body holds variable-length records. Most message ops
- * carry a single meaningful argument (checks, invalidates, label
- * definitions), so a record whose arg1 is zero shrinks to a 16-byte
- * short form — marked by kShortOpBit in its op word — and everything
- * else stays the 24-byte long form. The header's reserved word carries
- * the exact body byte length (and joins the header CRC), since record
- * count no longer determines it.
- *
- * Any flag bit other than this one is rejected (strict: unknown =
- * reject), and senders only set it after Channel::enableVarRecords(),
- * so fixed-record frames remain byte-identical to their golden
- * fixtures.
- */
-constexpr std::uint16_t kFlagVarRecords = 0x1;
-
-/**
  * v2 frame header; occupies exactly one ring slot. header_crc covers
- * the first 20 bytes (magic..body_crc); with kFlagVarRecords it
- * additionally chains over the reserved word (which then carries
- * body_bytes — otherwise reserved must be zero).
+ * the first 20 bytes (magic..body_crc); flags and reserved must be
+ * zero (any other value is rejected).
  */
 struct FrameHeader
 {
@@ -144,10 +127,10 @@ struct FrameHeader
     std::uint32_t pid = 0;
     std::uint32_t base_seq = 0;
     std::uint16_t count = 0;
-    std::uint16_t flags = 0; //!< kFlagVarRecords or zero (unknown = reject)
+    std::uint16_t flags = 0; //!< must be zero
     std::uint32_t body_crc = 0;
     std::uint32_t header_crc = 0;
-    std::uint64_t reserved = 0; //!< body byte length under kFlagVarRecords
+    std::uint64_t reserved = 0; //!< must be zero
 };
 
 static_assert(sizeof(FrameHeader) == sizeof(Message),
@@ -167,22 +150,6 @@ struct PackedRecord
 
 static_assert(sizeof(PackedRecord) == 24, "packed record is 24 bytes");
 
-/**
- * Op-word bit marking a 16-byte short record in a kFlagVarRecords body
- * (real opcodes are tiny, so the top bit is free for framing).
- */
-constexpr std::uint32_t kShortOpBit = 0x80000000u;
-
-/** Short form of a variable-length record: arg1 implicitly zero. */
-struct ShortRecord
-{
-    std::uint32_t op = 0; //!< opcode | kShortOpBit
-    std::uint32_t reserved = 0;
-    std::uint64_t arg0 = 0;
-};
-
-static_assert(sizeof(ShortRecord) == 16, "short record is 16 bytes");
-
 /** Slots occupied by count packed records (ceil(count*24/32)). */
 constexpr std::size_t
 recordSlots(std::size_t count)
@@ -201,24 +168,13 @@ frameSlots(std::size_t count)
 /** Worst-case slots for a full frame (header + 64 records). */
 constexpr std::size_t kMaxFrameSlots = frameSlots(kMaxRecords);
 
-/** Slots occupied by a variable-record body of body_bytes bytes. */
-constexpr std::size_t
-bodySlots(std::size_t body_bytes)
-{
-    return (body_bytes + sizeof(Message) - 1) / sizeof(Message);
-}
-
 /** Validated header fields, ready for body check / unpack. */
 struct FrameView
 {
     std::uint32_t pid = 0;
     std::uint32_t base_seq = 0;
     std::uint16_t count = 0;
-    bool var = false;       //!< kFlagVarRecords body
-    std::uint32_t body_bytes = 0;
-    std::size_t slots = 0; //!< 1 + body slots
-    /** Byte offset of each record within the body (var frames only). */
-    std::uint32_t rec_off[kMaxRecords] = {};
+    std::size_t slots = 0; //!< frameSlots(count)
 };
 
 enum class DecodeStatus {
@@ -245,17 +201,6 @@ struct DecodeLimits
  */
 void encode(const Message *messages, std::size_t count, std::uint32_t pid,
             std::uint32_t base_seq, Message *slots_out);
-
-/**
- * Encode count messages as one kFlagVarRecords frame: records whose
- * arg1 is zero take the 16-byte short form, the rest the 24-byte long
- * form. Worst case the frame is as large as encode()'s; slots_out must
- * hold kMaxFrameSlots.
- * @return total slots written (1 header + bodySlots(body)).
- */
-std::size_t encodeVar(const Message *messages, std::size_t count,
-                      std::uint32_t pid, std::uint32_t base_seq,
-                      Message *slots_out);
 
 /**
  * Validate the header in span.slot(0) against limits. On success fills

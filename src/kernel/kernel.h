@@ -95,8 +95,6 @@ class KernelModule
          * latency, so a short spin avoids the sleep/wake round trip.
          */
         std::chrono::microseconds spin{50};
-        /** Kill the process on policy violation (paper default: yes). */
-        bool kill_on_violation = true;
         /**
          * Elide synchronization for read-only system calls (§5.3.3
          * lists this as a potential improvement): syscalls without
@@ -238,7 +236,7 @@ class KernelModule
     /**
      * Process-table buckets, keyed by the same pid->shard hash the
      * verifier uses (shardIndexFor in verifier/shard.h). With a sharded
-     * verifier, epoch acknowledgements and kill_on_violation for one
+     * verifier, epoch acknowledgements and violation kills for one
      * shard's pids land on that shard's buckets only, so shard workers
      * never contend on a single kernel lock (the real module's
      * per-bucket hash-table locking).

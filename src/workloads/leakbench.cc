@@ -361,7 +361,7 @@ buildLeakModule(LeakScenario scenario)
 
 LeakResult
 runLeakAttack(LeakScenario scenario, PolicySuite suite,
-              std::size_t num_shards, WireFormat format, bool var_records)
+              std::size_t num_shards, WireFormat format)
 {
     LeakBuilder builder(scenario);
     ir::Module module = builder.build();
@@ -402,8 +402,6 @@ runLeakAttack(LeakScenario scenario, PolicySuite suite,
     ShmChannel channel(1 << 12);
     if (format != WireFormat::V1 && !channel.negotiateFormat(format))
         panic("leakbench channel refused wire format negotiation");
-    if (var_records && !channel.enableVarRecords())
-        panic("leakbench channel refused variable records");
     verifier.attachChannel(&channel, 1);
     HqRuntime runtime(1, channel, kernel);
     if (!runtime.enable().isOk())

@@ -79,13 +79,10 @@ struct LeakResult
  *
  * @param num_shards verifier shard count; verdicts must not depend on it
  * @param format wire format; verdicts must be identical for v1 and v2
- * @param var_records opt the channel into v2 variable-length records
- *        (requires format == V2); verdicts must again be identical
  */
 LeakResult runLeakAttack(LeakScenario scenario, PolicySuite suite,
                          std::size_t num_shards = 1,
-                         WireFormat format = WireFormat::V1,
-                         bool var_records = false);
+                         WireFormat format = WireFormat::V1);
 
 } // namespace hq
 

@@ -517,6 +517,21 @@ TEST_F(FaultInjectTest, AuditPassesWhenDropsAreDetected)
         << "detected drops must not be reported as silent accepts";
 }
 
+TEST_F(FaultInjectTest, EveryLossySiteIsAudited)
+{
+    // One injected fault and no detector movement: a site that can
+    // lose or corrupt data must be reported as a silent accept, and a
+    // latency-only site must not be.
+    for (int i = 0; i < fi::kNumSites; ++i) {
+        const auto site = static_cast<fi::Site>(i);
+        fi::disarmAll();
+        fi::FaultPlan::instance().addCounts(site, 1, 1);
+        EXPECT_EQ(fi::emitAuditRecords(), fi::siteIsLatencyOnly(site) ? 0 : 1)
+            << fi::siteName(site);
+    }
+    fi::disarmAll();
+}
+
 TEST_F(FaultInjectTest, AuditWritesSilentAcceptRecordsToTheEventLog)
 {
     telemetry::setEnabled(true);

@@ -33,7 +33,7 @@ fastConfig(std::size_t capacity = 1 << 10)
 {
     FpgaConfig config;
     config.host_buffer_messages = capacity;
-    config.model_latency = false; // functional-only for unit tests
+    config.mmio_write_ns = 0; // functional-only for unit tests
     return config;
 }
 
@@ -168,7 +168,6 @@ TEST(FpgaChannel, LatencyModelSlowsSends)
 {
     FpgaConfig slow;
     slow.mmio_write_ns = 200;
-    slow.model_latency = true;
     FpgaChannel channel(slow);
 
     const auto start = std::chrono::steady_clock::now();

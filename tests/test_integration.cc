@@ -89,7 +89,7 @@ TEST(Integration, FpgaTransportEndToEndWithSequenceCheck)
 
     FpgaConfig fpga_config;
     fpga_config.host_buffer_messages = 1 << 14;
-    fpga_config.model_latency = false;
+    fpga_config.mmio_write_ns = 0;
     FpgaChannel channel(fpga_config);
     channel.afu().setPidRegister(1);
     verifier.attachChannel(&channel, 1, /*device_stamped=*/true);

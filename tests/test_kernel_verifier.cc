@@ -250,7 +250,7 @@ TEST(Verifier, SequenceGapIsIntegrityViolation)
 
     FpgaConfig fpga_config;
     fpga_config.host_buffer_messages = 4; // tiny: force drops
-    fpga_config.model_latency = false;
+    fpga_config.mmio_write_ns = 0;
     FpgaChannel channel(fpga_config);
     channel.afu().setPidRegister(1);
     verifier.attachChannel(&channel, 1, /*device_stamped=*/true);
@@ -271,7 +271,7 @@ TEST(Verifier, DeviceStampedPidRouting)
     VerifierFixture fx;
     Verifier verifier(fx.kernel, fx.policy);
     FpgaConfig fpga_config;
-    fpga_config.model_latency = false;
+    fpga_config.mmio_write_ns = 0;
     FpgaChannel channel(fpga_config);
     verifier.attachChannel(&channel, /*owner=*/0, /*device_stamped=*/true);
     ASSERT_TRUE(fx.kernel.enableProcess(7).isOk());
@@ -460,7 +460,7 @@ TEST(Verifier, SequenceGapDetectedUnderBatchedDrain)
 
     FpgaConfig fpga_config;
     fpga_config.host_buffer_messages = 4;
-    fpga_config.model_latency = false;
+    fpga_config.mmio_write_ns = 0;
     FpgaChannel channel(fpga_config);
     channel.afu().setPidRegister(1);
     verifier.attachChannel(&channel, 1, /*device_stamped=*/true);

@@ -4,9 +4,9 @@
  * ACCEPTED by a CFI-only verifier (control flow is never corrupted) and
  * DENIED by CFI+IFC (the LABEL-CHECK violation blocks the confirmation
  * syscall). The parity suites re-run the corpus across verifier shard
- * counts {1,4} and wire formats {v1, v2, v2+var-records} and diff the
- * whole verdict table field by field — the same shard/format parity
- * gates the RIPE suite gets.
+ * counts {1,4} and wire formats {v1, v2} and diff the whole verdict
+ * table field by field — the same shard/format parity gates the RIPE
+ * suite gets.
  */
 
 #include <gtest/gtest.h>
@@ -41,17 +41,14 @@ struct VerdictRow
 };
 
 std::vector<VerdictRow>
-verdictTable(std::size_t num_shards, WireFormat format,
-             bool var_records = false)
+verdictTable(std::size_t num_shards, WireFormat format)
 {
     std::vector<VerdictRow> table;
     for (LeakScenario scenario : leakScenarioSuite()) {
         const LeakResult cfi = runLeakAttack(
-            scenario, PolicySuite::CfiOnly, num_shards, format,
-            var_records);
+            scenario, PolicySuite::CfiOnly, num_shards, format);
         const LeakResult ifc = runLeakAttack(
-            scenario, PolicySuite::CfiPlusIfc, num_shards, format,
-            var_records);
+            scenario, PolicySuite::CfiPlusIfc, num_shards, format);
         table.push_back(VerdictRow{leakScenarioName(scenario),
                                    cfi.leaked, cfi.detected, ifc.leaked,
                                    ifc.detected, ifc.ifc_violations});
@@ -129,13 +126,6 @@ TEST(LeakParity, WireFormatDoesNotChangeVerdicts)
     const auto v1 = verdictTable(1, WireFormat::V1);
     const auto v2 = verdictTable(1, WireFormat::V2);
     expectTablesEqual(v1, v2, "v1 vs v2");
-}
-
-TEST(LeakParity, VarRecordsDoNotChangeVerdicts)
-{
-    const auto v2 = verdictTable(1, WireFormat::V2);
-    const auto var = verdictTable(1, WireFormat::V2, true);
-    expectTablesEqual(v2, var, "v2 fixed vs v2 var-records");
 }
 
 TEST(LeakParity, ShardedV2MatchesSerialV1)

@@ -7,7 +7,7 @@
  * must not depend on how the verifier is sharded or how the messages
  * travel.
  *
- *   hq_leakbench --shards=4 --format=v2 [--var-records]
+ *   hq_leakbench --shards=4 --format=v2
  */
 
 #include <cstdio>
@@ -23,7 +23,6 @@ main(int argc, char **argv)
 {
     std::size_t shards = 1;
     WireFormat format = WireFormat::V1;
-    bool var_records = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--shards=", 0) == 0) {
@@ -33,28 +32,24 @@ main(int argc, char **argv)
             format = WireFormat::V1;
         } else if (arg == "--format=v2") {
             format = WireFormat::V2;
-        } else if (arg == "--var-records") {
-            var_records = true;
         } else {
             std::fprintf(stderr,
-                         "usage: %s [--shards=N] [--format=v1|v2] "
-                         "[--var-records]\n",
+                         "usage: %s [--shards=N] [--format=v1|v2]\n",
                          argv[0]);
             return 2;
         }
     }
-    if (shards == 0 || (var_records && format != WireFormat::V2)) {
-        std::fprintf(stderr, "invalid flag combination\n");
+    if (shards == 0) {
+        std::fprintf(stderr, "--shards must be at least 1\n");
         return 2;
     }
 
     int corpus_failures = 0;
     for (LeakScenario scenario : leakScenarioSuite()) {
-        const LeakResult cfi = runLeakAttack(
-            scenario, PolicySuite::CfiOnly, shards, format, var_records);
+        const LeakResult cfi =
+            runLeakAttack(scenario, PolicySuite::CfiOnly, shards, format);
         const LeakResult ifc = runLeakAttack(
-            scenario, PolicySuite::CfiPlusIfc, shards, format,
-            var_records);
+            scenario, PolicySuite::CfiPlusIfc, shards, format);
         // The corpus contract, independent of the parity diff.
         if (!cfi.leaked || cfi.detected || ifc.leaked || !ifc.detected)
             ++corpus_failures;
