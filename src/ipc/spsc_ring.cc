@@ -169,7 +169,7 @@ PeekResult
 SpscRing::peekSpan(RecvSpan &out)
 {
     out = RecvSpan{};
-    if (_bad_cursor)
+    if (_bad_cursor.load(std::memory_order_relaxed))
         return PeekResult::BadCursor;
     const std::uint64_t head = _head.load(std::memory_order_relaxed);
     // The producer cursor is the one word this side reads from the
@@ -180,7 +180,7 @@ SpscRing::peekSpan(RecvSpan &out)
     const std::uint64_t tail =
         _shared->tail.load(std::memory_order_acquire);
     if (tail < _cached_tail || tail - head > capacity()) {
-        _bad_cursor = true;
+        _bad_cursor.store(true, std::memory_order_relaxed);
         return PeekResult::BadCursor;
     }
     _cached_tail = tail;
@@ -218,6 +218,8 @@ SpscRing::overwritePending(std::size_t index, const Message &forged)
 std::size_t
 SpscRing::size() const
 {
+    if (_bad_cursor.load(std::memory_order_relaxed))
+        return 0;
     // Head first: it never passes the tail read after it.
     const std::uint64_t head = _head.load(std::memory_order_acquire);
     const std::uint64_t tail =

@@ -99,7 +99,8 @@ class SpscRing
     void consume(std::size_t count);
 
     /** Number of messages currently queued (approximate across threads;
-     *  at most capacity()). */
+     *  at most capacity()). 0 once a peek has reported BadCursor: the
+     *  producer cursor is then a lie, so it counts nothing. */
     std::size_t size() const;
 
     /**
@@ -129,12 +130,13 @@ class SpscRing
     SharedCursors *_shared;
     Message *_slots;
     std::size_t _mask;
-    /// Consumer-owned line: the consumer cursor (atomic only so size()
-    /// may read it from the producer's thread), the last producer
-    /// cursor a peek accepted, and whether a peek caught it lying.
+    /// Consumer-owned line: the consumer cursor, the last producer
+    /// cursor a peek accepted, and whether a peek caught it lying
+    /// (_head and _bad_cursor are atomic only so size() may read them
+    /// from another thread, e.g. the health watchdog's).
     alignas(64) std::atomic<std::uint64_t> _head{0};
     std::uint64_t _cached_tail = 0;
-    bool _bad_cursor = false;
+    std::atomic<bool> _bad_cursor{false};
     /// Producer-owned line: the producer cursor and its cache of the
     /// consumer cursor (refreshed only when the ring looks full).
     alignas(64) std::uint64_t _tail = 0;

@@ -9,8 +9,8 @@
  * one verifier and enforced over the same message stream. MultiPolicy
  * is the composition point: it is itself a Policy, so the verifier's
  * drain path is unchanged; its per-process context fans each message
- * out to every applicable module's sub-context (batched prefetch
- * included) and reports the first failing module's verdict.
+ * out to every applicable module's sub-context and reports the first
+ * failing module's verdict.
  *
  * Registration happens per-pid at context-creation time (the paper's
  * registration step 1b): appliesTo(pid) decides whether a module's

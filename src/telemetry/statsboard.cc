@@ -6,7 +6,11 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "common/log.h"
 #include "telemetry/telemetry.h"
@@ -50,6 +54,27 @@ seqlockCopy(void *dst, const void *src, std::size_t bytes)
                          __ATOMIC_RELAXED);
 }
 
+/**
+ * Make a snapshot copied from a (possibly foreign) segment safe to
+ * walk: any process can publish a board, so fail closed on a count
+ * past its array and cut every name to a terminated string.
+ */
+bool
+checkCopied(StatsBoardSnapshot &snapshot)
+{
+    if (snapshot.n_counters > kStatsBoardMaxCounters ||
+        snapshot.n_gauges > kStatsBoardMaxGauges ||
+        snapshot.n_histograms > kStatsBoardMaxHistograms)
+        return false;
+    for (BoardCounter &slot : snapshot.counters)
+        slot.name[kStatsBoardNameLen - 1] = '\0';
+    for (BoardGauge &slot : snapshot.gauges)
+        slot.name[kStatsBoardNameLen - 1] = '\0';
+    for (BoardHistogram &slot : snapshot.histograms)
+        slot.name[kStatsBoardNameLen - 1] = '\0';
+    return true;
+}
+
 } // namespace
 
 void
@@ -65,37 +90,194 @@ snapshotRegistry(StatsBoardSnapshot &out)
     out.n_histograms = 0;
 
     Registry &registry = Registry::instance();
-    registry.forEachCounter([&out](const std::string &name,
-                                   const Counter &counter) {
+    std::lock_guard<std::mutex> guard(registry._mutex);
+    for (const auto &[name, counter] : registry._counters) {
         if (out.n_counters >= kStatsBoardMaxCounters)
-            return;
+            break;
         BoardCounter &slot = out.counters[out.n_counters++];
         copyName(slot.name, name);
-        slot.value = counter.value();
-    });
-    registry.forEachGauge([&out](const std::string &name,
-                                 const Gauge &gauge) {
+        slot.value = counter->value();
+    }
+    for (const auto &[name, gauge] : registry._gauges) {
         if (out.n_gauges >= kStatsBoardMaxGauges)
-            return;
+            break;
         BoardGauge &slot = out.gauges[out.n_gauges++];
         copyName(slot.name, name);
-        slot.value = gauge.value();
-        slot.max = gauge.max();
-    });
-    registry.forEachHistogram([&out](const std::string &name,
-                                     const Histogram &histogram) {
+        slot.value = gauge->value();
+        slot.max = gauge->max();
+    }
+    for (const auto &[name, histogram] : registry._histograms) {
         if (out.n_histograms >= kStatsBoardMaxHistograms)
-            return;
+            break;
         BoardHistogram &slot = out.histograms[out.n_histograms++];
         copyName(slot.name, name);
-        slot.count = histogram.count();
-        slot.mean = histogram.mean();
-        slot.min = histogram.min();
-        slot.max = histogram.max();
-        slot.p50 = histogram.percentile(50);
-        slot.p90 = histogram.percentile(90);
-        slot.p99 = histogram.percentile(99);
-    });
+        slot.count = histogram->count();
+        slot.mean = histogram->mean();
+        slot.min = histogram->min();
+        slot.max = histogram->max();
+        slot.p50 = histogram->percentile(50);
+        slot.p90 = histogram->percentile(90);
+        slot.p99 = histogram->percentile(99);
+    }
+}
+
+// --- Prometheus text exposition --------------------------------------
+
+namespace {
+
+bool
+allDigits(const std::string &text, std::size_t from)
+{
+    if (from >= text.size())
+        return false;
+    for (std::size_t i = from; i < text.size(); ++i) {
+        if (text[i] < '0' || text[i] > '9')
+            return false;
+    }
+    return true;
+}
+
+void
+appendSanitizedComponent(std::string &name, const std::string &component)
+{
+    name += '_';
+    for (char c : component) {
+        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                        (c >= '0' && c <= '9') || c == '_';
+        name += ok ? c : '_';
+    }
+}
+
+void
+appendLabel(std::string &labels, const char *key,
+            const std::string &value)
+{
+    if (!labels.empty())
+        labels += ',';
+    labels += key;
+    labels += "=\"";
+    labels += value;
+    labels += '"';
+}
+
+std::string
+formatDouble(double value)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.10g", value);
+    return buf;
+}
+
+/** The sample lines of one family, printed under its `# TYPE` line. */
+struct PromFamily
+{
+    const char *type = "";
+    std::string samples;
+};
+
+/** One sample line of `family`; a summary's `_sum` and `_count` pass
+ *  their `suffix` and ride under the base family's `# TYPE` line. */
+void
+addSample(std::map<std::string, PromFamily> &families,
+          const std::string &family, const char *type,
+          const std::string &labels, const std::string &value,
+          const char *suffix = "")
+{
+    PromFamily &entry = families[family];
+    entry.type = type;
+    entry.samples += family + suffix;
+    if (!labels.empty())
+        entry.samples += '{' + labels + '}';
+    entry.samples += ' ' + value + '\n';
+}
+
+} // namespace
+
+PromSeries
+prometheusSeries(const std::string &metric)
+{
+    PromSeries out;
+    out.name = "hq";
+    std::size_t start = 0;
+    while (start <= metric.size()) {
+        const std::size_t dot = metric.find('.', start);
+        const std::size_t len =
+            (dot == std::string::npos ? metric.size() : dot) - start;
+        const std::string component = metric.substr(start, len);
+        if (component.rfind("shard", 0) == 0 &&
+            allDigits(component, 5)) {
+            appendLabel(out.labels, "shard", component.substr(5));
+        } else if (component.rfind("pid_", 0) == 0 &&
+                   allDigits(component, 4)) {
+            appendLabel(out.labels, "pid", component.substr(4));
+        } else if (!component.empty()) {
+            appendSanitizedComponent(out.name, component);
+        }
+        if (dot == std::string::npos)
+            break;
+        start = dot + 1;
+    }
+    return out;
+}
+
+std::string
+prometheusText(const std::vector<PublishedSnapshot> &boards)
+{
+    // The map sorts families by name and keeps every sample of a
+    // family under its one `# TYPE` line, as the format requires.
+    std::map<std::string, PromFamily> families;
+    for (const PublishedSnapshot &board : boards) {
+        const StatsBoardSnapshot &snap = board.snapshot;
+        const std::string board_pid = std::to_string(board.pid);
+        // A metric name can carry its own `pid` label (pid_<N>), so
+        // the publisher's label needs a name of its own.
+        auto seriesOf = [&board_pid](const char *metric) {
+            PromSeries series = prometheusSeries(metric);
+            appendLabel(series.labels, "board_pid", board_pid);
+            return series;
+        };
+        for (std::uint32_t i = 0; i < snap.n_counters; ++i) {
+            const PromSeries series = seriesOf(snap.counters[i].name);
+            addSample(families, series.name + "_total", "counter",
+                      series.labels, std::to_string(snap.counters[i].value));
+        }
+        for (std::uint32_t i = 0; i < snap.n_gauges; ++i) {
+            const BoardGauge &gauge = snap.gauges[i];
+            const PromSeries series = seriesOf(gauge.name);
+            addSample(families, series.name, "gauge", series.labels,
+                      std::to_string(gauge.value));
+            addSample(families, series.name + "_max", "gauge",
+                      series.labels, std::to_string(gauge.max));
+        }
+        for (std::uint32_t i = 0; i < snap.n_histograms; ++i) {
+            const BoardHistogram &h = snap.histograms[i];
+            const PromSeries series = seriesOf(h.name);
+            if (h.count != 0) {
+                const std::pair<const char *, double> quantiles[] = {
+                    {"0.5", h.p50}, {"0.9", h.p90}, {"0.99", h.p99}};
+                for (const auto &[quantile, value] : quantiles) {
+                    std::string labels = series.labels;
+                    appendLabel(labels, "quantile", quantile);
+                    addSample(families, series.name, "summary", labels,
+                              formatDouble(value));
+                }
+            }
+            addSample(families, series.name, "summary", series.labels,
+                      formatDouble(h.mean * static_cast<double>(h.count)),
+                      "_sum");
+            addSample(families, series.name, "summary", series.labels,
+                      std::to_string(h.count), "_count");
+        }
+    }
+    addSample(families, "hq_statsboards", "gauge", "",
+              std::to_string(boards.size()));
+
+    std::string out;
+    for (const auto &[family, entry] : families) {
+        out += "# TYPE " + family + ' ' + entry.type + '\n';
+        out += entry.samples;
+    }
+    return out;
 }
 
 // --- Writer ----------------------------------------------------------
@@ -216,7 +398,7 @@ StatsBoardReader::read(StatsBoardSnapshot &out) const
         const std::uint64_t after =
             _region->seq.load(std::memory_order_acquire);
         if (before == after)
-            return true;
+            return checkCopied(out);
     }
     return false;
 }

@@ -14,6 +14,9 @@
  *
  * Segment name: /hq_stats.<pid> under /dev/shm (shm_open), so
  * `hq_stat` can discover running instances by scanning the directory.
+ *
+ * Snapshots are also the input of the one Prometheus renderer
+ * (prometheusText), which `hq_stat --prom` runs over every board.
  */
 
 #ifndef HQ_TELEMETRY_STATSBOARD_H
@@ -24,6 +27,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <vector>
 
 namespace hq {
 namespace telemetry {
@@ -92,6 +96,46 @@ struct StatsBoardRegion
  *  truncated to the board capacities). */
 void snapshotRegistry(StatsBoardSnapshot &out);
 
+/**
+ * A registry metric name mapped onto the Prometheus data model: a
+ * `hq_`-prefixed, sanitized family name plus a label set. Structured
+ * components become labels instead of name fragments, so the fleet
+ * aggregator can sum/filter across them:
+ *
+ *   verifier.shard3.messages  -> hq_verifier_messages, shard="3"
+ *   verifier.lag_ns.pid_42    -> hq_verifier_lag_ns,   pid="42"
+ *   ipc.ring_occupancy        -> hq_ipc_ring_occupancy (no labels)
+ *
+ * Any other character outside [a-zA-Z0-9_] is replaced with '_'.
+ */
+struct PromSeries
+{
+    std::string name;   //!< metric family name
+    std::string labels; //!< comma-joined `key="value"` pairs ("" = none)
+};
+
+PromSeries prometheusSeries(const std::string &metric);
+
+/** One board's snapshot, tagged with the pid that published it. */
+struct PublishedSnapshot
+{
+    std::int32_t pid = 0;
+    StatsBoardSnapshot snapshot;
+};
+
+/**
+ * The boards in the Prometheus text exposition format (version 0.0.4):
+ * counters as `<name>_total`, gauges as `<name>` plus a `<name>_max`
+ * high-water series, histograms as summaries (quantile 0.5/0.9/0.99
+ * when non-empty, then `_sum`/`_count`). Names map through
+ * prometheusSeries(); every sample also carries `board_pid="<pid>"`,
+ * so each process's series stay apart. Families are sorted by name,
+ * each under exactly one `# TYPE` line, and an `hq_statsboards`
+ * gauge counts the boards. Ends with a newline, as the node-exporter
+ * textfile collector requires.
+ */
+std::string prometheusText(const std::vector<PublishedSnapshot> &boards);
+
 /** Creator/owner of the shared segment; unlinks it on destruction. */
 class StatsBoardWriter
 {
@@ -133,9 +177,11 @@ class StatsBoardReader
     std::int32_t pid() const { return _region ? _region->pid : 0; }
 
     /**
-     * Copy one consistent snapshot out (seqlock retry loop).
-     * @return false when the segment is invalid or a consistent read
-     *         could not be obtained within the retry budget.
+     * Copy one consistent snapshot out (seqlock retry loop). Every
+     * name in the copy is NUL-terminated.
+     * @return false when the segment is invalid, a consistent read
+     *         could not be obtained within the retry budget, or the
+     *         copy counts more entries than the board holds.
      */
     bool read(StatsBoardSnapshot &out) const;
 

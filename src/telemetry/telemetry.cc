@@ -10,8 +10,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <utility>
-#include <vector>
 
 #include "telemetry/event_log.h"
 #include "telemetry/flight_recorder.h"
@@ -372,198 +370,6 @@ Registry::toJson() const
     }
     os << "}}";
     return os.str();
-}
-
-// --- Prometheus text exposition --------------------------------------
-
-namespace {
-
-bool
-allDigits(const std::string &text, std::size_t from)
-{
-    if (from >= text.size())
-        return false;
-    for (std::size_t i = from; i < text.size(); ++i) {
-        if (text[i] < '0' || text[i] > '9')
-            return false;
-    }
-    return true;
-}
-
-void
-appendSanitizedComponent(std::string &name, const std::string &component)
-{
-    name += '_';
-    for (char c : component) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '_';
-        name += ok ? c : '_';
-    }
-}
-
-void
-appendLabel(std::string &labels, const char *key,
-            const std::string &value)
-{
-    if (!labels.empty())
-        labels += ',';
-    labels += key;
-    labels += "=\"";
-    labels += value;
-    labels += '"';
-}
-
-std::string
-promDouble(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.10g", value);
-    return buf;
-}
-
-/** Accumulates samples grouped per family so each `# TYPE` line is
- *  emitted exactly once even when many labeled series share it. */
-struct PromWriter
-{
-    // family -> exposition type; map keeps the output name-ordered.
-    std::map<std::string, const char *> types;
-    std::map<std::string, std::vector<std::string>> samples;
-
-    /** One sample line; `name` may extend family (e.g. `_sum`). */
-    void
-    add(const std::string &family, const char *type,
-        const std::string &name, const std::string &labels,
-        const std::string &value)
-    {
-        types.emplace(family, type);
-        std::string line = name;
-        if (!labels.empty())
-            line += '{' + labels + '}';
-        line += ' ';
-        line += value;
-        line += '\n';
-        samples[family].push_back(std::move(line));
-    }
-
-    std::string
-    str() const
-    {
-        std::string out;
-        for (const auto &[family, type] : types) {
-            out += "# TYPE ";
-            out += family;
-            out += ' ';
-            out += type;
-            out += '\n';
-            auto it = samples.find(family);
-            if (it != samples.end()) {
-                for (const std::string &line : it->second)
-                    out += line;
-            }
-        }
-        return out;
-    }
-};
-
-} // namespace
-
-PromSeries
-prometheusSeries(const std::string &metric)
-{
-    PromSeries out;
-    out.name = "hq";
-    std::size_t start = 0;
-    while (start <= metric.size()) {
-        const std::size_t dot = metric.find('.', start);
-        const std::size_t len =
-            (dot == std::string::npos ? metric.size() : dot) - start;
-        const std::string component = metric.substr(start, len);
-        if (component.rfind("shard", 0) == 0 &&
-            allDigits(component, 5)) {
-            appendLabel(out.labels, "shard", component.substr(5));
-        } else if (component.rfind("pid_", 0) == 0 &&
-                   allDigits(component, 4)) {
-            appendLabel(out.labels, "pid", component.substr(4));
-        } else if (!component.empty()) {
-            appendSanitizedComponent(out.name, component);
-        }
-        if (dot == std::string::npos)
-            break;
-        start = dot + 1;
-    }
-    return out;
-}
-
-std::string
-Registry::toPrometheus() const
-{
-    std::lock_guard<std::mutex> guard(_mutex);
-    PromWriter writer;
-    for (const auto &[name, counter] : _counters) {
-        const PromSeries series = prometheusSeries(name);
-        const std::string family = series.name + "_total";
-        writer.add(family, "counter", family, series.labels,
-                   std::to_string(counter->value()));
-    }
-    for (const auto &[name, gauge] : _gauges) {
-        const PromSeries series = prometheusSeries(name);
-        writer.add(series.name, "gauge", series.name, series.labels,
-                   std::to_string(gauge->value()));
-        const std::string family = series.name + "_max";
-        writer.add(family, "gauge", family, series.labels,
-                   std::to_string(gauge->max()));
-    }
-    for (const auto &[name, histogram] : _histograms) {
-        const PromSeries series = prometheusSeries(name);
-        const std::uint64_t count = histogram->count();
-        if (count != 0) {
-            static constexpr std::pair<const char *, double> kQuantiles[] =
-                {{"0.5", 50.0}, {"0.9", 90.0}, {"0.99", 99.0}};
-            for (const auto &[q, p] : kQuantiles) {
-                std::string labels = series.labels;
-                appendLabel(labels, "quantile", q);
-                writer.add(series.name, "summary", series.name, labels,
-                           promDouble(histogram->percentile(p)));
-            }
-        }
-        writer.add(series.name, "summary", series.name + "_sum",
-                   series.labels,
-                   promDouble(histogram->mean() *
-                              static_cast<double>(count)));
-        writer.add(series.name, "summary", series.name + "_count",
-                   series.labels, std::to_string(count));
-    }
-    return writer.str();
-}
-
-void
-Registry::forEachCounter(
-    const std::function<void(const std::string &, const Counter &)>
-        &visit) const
-{
-    std::lock_guard<std::mutex> guard(_mutex);
-    for (const auto &[name, counter] : _counters)
-        visit(name, *counter);
-}
-
-void
-Registry::forEachGauge(
-    const std::function<void(const std::string &, const Gauge &)> &visit)
-    const
-{
-    std::lock_guard<std::mutex> guard(_mutex);
-    for (const auto &[name, gauge] : _gauges)
-        visit(name, *gauge);
-}
-
-void
-Registry::forEachHistogram(
-    const std::function<void(const std::string &, const Histogram &)>
-        &visit) const
-{
-    std::lock_guard<std::mutex> guard(_mutex);
-    for (const auto &[name, histogram] : _histograms)
-        visit(name, *histogram);
 }
 
 void

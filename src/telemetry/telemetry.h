@@ -22,7 +22,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -193,6 +192,8 @@ class Histogram
 
 // --- Registry --------------------------------------------------------
 
+struct StatsBoardSnapshot;
+
 /**
  * Process-global name -> metric registry. Metric references returned by
  * counter()/gauge()/histogram() are stable for the process lifetime, so
@@ -216,38 +217,14 @@ class Registry
      */
     std::string toJson() const;
 
-    /**
-     * All metrics in the Prometheus text exposition format (version
-     * 0.0.4): counters as `<name>_total`, gauges as `<name>` plus a
-     * `<name>_max` high-water series, histograms as summaries
-     * (quantile 0.5/0.9/0.99 + `_sum`/`_count`). Names are derived via
-     * prometheusSeries(), so per-shard and per-pid metrics become
-     * labeled series of one family. Ends with a newline; parseable by
-     * the node-exporter textfile collector.
-     */
-    std::string toPrometheus() const;
-
-    /**
-     * Visit every metric of one kind in name order. The registry mutex
-     * is held across the sweep (registration is rare and hot paths
-     * cache references, so this blocks no recorder) — used by the
-     * statsboard publisher to build coherent snapshots.
-     */
-    void forEachCounter(
-        const std::function<void(const std::string &, const Counter &)>
-            &visit) const;
-    void forEachGauge(
-        const std::function<void(const std::string &, const Gauge &)>
-            &visit) const;
-    void forEachHistogram(
-        const std::function<void(const std::string &, const Histogram &)>
-            &visit) const;
-
     /** Zero every metric's value (registrations are kept). Tests. */
     void reset();
 
   private:
     Registry();
+
+    /// Copies the three maps under one hold of _mutex.
+    friend void snapshotRegistry(StatsBoardSnapshot &out);
 
     mutable std::mutex _mutex;
     std::map<std::string, std::unique_ptr<Counter>> _counters;
@@ -337,28 +314,6 @@ class ScopedTimer
     Histogram *_histogram;
     std::uint64_t _start;
 };
-
-// --- Prometheus naming -----------------------------------------------
-
-/**
- * A registry metric name mapped onto the Prometheus data model: a
- * `hq_`-prefixed, sanitized family name plus a label set. Structured
- * components become labels instead of name fragments, so the fleet
- * aggregator can sum/filter across them:
- *
- *   verifier.shard3.messages  -> hq_verifier_messages, shard="3"
- *   verifier.lag_ns.pid_42    -> hq_verifier_lag_ns,   pid="42"
- *   ipc.ring_occupancy        -> hq_ipc_ring_occupancy (no labels)
- *
- * Any other character outside [a-zA-Z0-9_] is replaced with '_'.
- */
-struct PromSeries
-{
-    std::string name;   //!< metric family name
-    std::string labels; //!< comma-joined `key="value"` pairs ("" = none)
-};
-
-PromSeries prometheusSeries(const std::string &metric);
 
 // --- Export ----------------------------------------------------------
 

@@ -387,6 +387,28 @@ TEST(FrameCodec, NonzeroFlagsOrReservedRejected)
               frame::DecodeStatus::BadHeader);
 }
 
+TEST(FrameCodec, WrongMagicUnderAValidCrcRejected)
+{
+    // Only the magic check can catch this header: its CRC is
+    // recomputed over the changed magic, and the body is untouched.
+    const std::vector<Message> messages = makeMessages(3);
+    Message slots[frame::kMaxFrameSlots];
+    frame::encode(messages.data(), 3, kPid, 0, slots);
+    frame::FrameView view;
+    ASSERT_EQ(frame::decode(spanOf(slots, frame::frameSlots(3)),
+                            kWideLimits, view),
+              frame::DecodeStatus::Ok);
+
+    frame::FrameHeader header;
+    std::memcpy(static_cast<void *>(&header), &slots[0], sizeof(header));
+    header.magic ^= 1;
+    header.header_crc = crc32::compute(&header, frame::kHeaderCrcBytes);
+    std::memcpy(static_cast<void *>(&slots[0]), &header, sizeof(header));
+    EXPECT_EQ(frame::decode(spanOf(slots, frame::frameSlots(3)),
+                            kWideLimits, view),
+              frame::DecodeStatus::BadHeader);
+}
+
 TEST(FrameCodec, EveryBitFlipIsDetected)
 {
     // The zero-silent-accept property at codec granularity: flip every

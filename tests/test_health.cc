@@ -32,6 +32,7 @@
 #include "telemetry/event_log.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/health.h"
+#include "telemetry/statsboard.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 #include "verifier/verifier.h"
@@ -436,7 +437,9 @@ TEST(FlightRecorder, RecordsPastTheLastRingAreCounted)
     EXPECT_NE(telemetry::Registry::instance().toJson().find(
                   "\"flight.dropped_records\""),
               std::string::npos);
-    EXPECT_NE(telemetry::Registry::instance().toPrometheus().find(
+    std::vector<telemetry::PublishedSnapshot> boards(1);
+    telemetry::snapshotRegistry(boards[0].snapshot);
+    EXPECT_NE(telemetry::prometheusText(boards).find(
                   "hq_flight_dropped_records_total"),
               std::string::npos);
 }

@@ -224,6 +224,9 @@ TEST_P(HostileTail, KillsWithOneCorruptMsgAndLendsNothing)
     RecvSpan span;
     EXPECT_EQ(rig.channel.tryPeekSpan(span).kind, PeekResult::BadCursor);
     EXPECT_EQ(span.total(), 0u);
+    // The lying cursor must not make the shard look full to the
+    // health watchdog's queue depth.
+    EXPECT_EQ(rig.channel.pending(), 0u);
 
     std::ifstream in(path);
     const std::string log((std::istreambuf_iterator<char>(in)),

@@ -12,7 +12,9 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -388,6 +390,37 @@ TEST(StatsBoard, SnapshotRoundTripsThroughSharedMemory)
         }
     }
     EXPECT_TRUE(found);
+}
+
+TEST(StatsBoard, ReaderFailsClosedOnAHostileBoard)
+{
+    // Any process can publish a board, so hq_stat must not walk past
+    // the arrays on a lying count or past a name with no terminator.
+    const std::string name =
+        "/hq_test_hostile_board." + std::to_string(::getpid());
+    StatsBoardWriter writer(name);
+    ASSERT_TRUE(writer.valid());
+    StatsBoardReader reader(name);
+    ASSERT_TRUE(reader.valid());
+    auto published = std::make_unique<StatsBoardSnapshot>();
+    auto copy = std::make_unique<StatsBoardSnapshot>();
+
+    published->n_counters = kStatsBoardMaxCounters + 1;
+    writer.publish(*published);
+    EXPECT_FALSE(reader.read(*copy));
+    published->n_counters = 0;
+    published->n_histograms = 1u << 20;
+    writer.publish(*published);
+    EXPECT_FALSE(reader.read(*copy));
+
+    published->n_histograms = 0;
+    published->n_gauges = 1;
+    std::memset(published->gauges[0].name, 'g',
+                sizeof(published->gauges[0].name));
+    writer.publish(*published);
+    ASSERT_TRUE(reader.read(*copy));
+    EXPECT_EQ(std::strlen(copy->gauges[0].name),
+              telemetry::kStatsBoardNameLen - 1);
 }
 
 TEST(StatsBoard, SeqlockNeverYieldsTornSnapshots)

@@ -11,7 +11,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "kernel/kernel.h"
 #include "policy/pointer_integrity.h"
 #include "telemetry/flight_recorder.h"
+#include "telemetry/statsboard.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 #include "verifier/verifier.h"
@@ -435,25 +438,30 @@ TEST(Prometheus, ExpositionGroupsFamiliesAndLabelsShards)
     registry.counter("verifier.shard1.messages").add(32);
     registry.gauge("verifier.shard0.health").set(2);
     registry.histogram("verifier.msg_latency_ns").record(512, 4);
-    const std::string text = registry.toPrometheus();
+    std::vector<telemetry::PublishedSnapshot> boards(1);
+    boards[0].pid = 7;
+    telemetry::snapshotRegistry(boards[0].snapshot);
+    const std::string text = telemetry::prometheusText(boards);
 
     // Exactly one TYPE header per family, even with two labeled
     // members; counters gain the _total suffix.
     EXPECT_EQ(countOccurrences(
                   text, "# TYPE hq_verifier_messages_total counter"),
               1u);
-    EXPECT_NE(
-        text.find("hq_verifier_messages_total{shard=\"0\"} 10"),
-        std::string::npos)
+    EXPECT_NE(text.find("hq_verifier_messages_total{shard=\"0\","
+                        "board_pid=\"7\"} 10"),
+              std::string::npos)
         << text;
-    EXPECT_NE(
-        text.find("hq_verifier_messages_total{shard=\"1\"} 32"),
-        std::string::npos);
+    EXPECT_NE(text.find("hq_verifier_messages_total{shard=\"1\","
+                        "board_pid=\"7\"} 32"),
+              std::string::npos);
 
     // Gauges export value and the _max high-water companion.
-    EXPECT_NE(text.find("hq_verifier_health{shard=\"0\"} 2"),
-              std::string::npos);
-    EXPECT_NE(text.find("hq_verifier_health_max{shard=\"0\"} 2"),
+    EXPECT_NE(
+        text.find("hq_verifier_health{shard=\"0\",board_pid=\"7\"} 2"),
+        std::string::npos);
+    EXPECT_NE(text.find("hq_verifier_health_max{shard=\"0\","
+                        "board_pid=\"7\"} 2"),
               std::string::npos);
 
     // Histograms export as summaries: quantiles ride under the base
@@ -461,10 +469,12 @@ TEST(Prometheus, ExpositionGroupsFamiliesAndLabelsShards)
     EXPECT_EQ(
         countOccurrences(text, "# TYPE hq_verifier_msg_latency_ns summary"),
         1u);
-    EXPECT_NE(text.find("hq_verifier_msg_latency_ns{quantile=\"0.5\"}"),
+    EXPECT_NE(text.find("hq_verifier_msg_latency_ns{board_pid=\"7\","
+                        "quantile=\"0.5\"}"),
               std::string::npos);
-    EXPECT_NE(text.find("hq_verifier_msg_latency_ns_count 4"),
-              std::string::npos);
+    EXPECT_NE(
+        text.find("hq_verifier_msg_latency_ns_count{board_pid=\"7\"} 4"),
+        std::string::npos);
     EXPECT_NE(text.find("hq_verifier_msg_latency_ns_sum"),
               std::string::npos);
 
@@ -472,6 +482,56 @@ TEST(Prometheus, ExpositionGroupsFamiliesAndLabelsShards)
     ASSERT_FALSE(text.empty());
     EXPECT_EQ(text.back(), '\n');
     Registry::instance().reset();
+}
+
+TEST(Prometheus, BoardLabelNeverRepeatsAMetricLabel)
+{
+    // verifier.lag_ns.pid_42 already maps to pid="42", so the label
+    // naming the publishing board must not be `pid` too: a repeated
+    // label name makes the whole exposition invalid.
+    std::vector<telemetry::PublishedSnapshot> boards(1);
+    boards[0].pid = 7;
+    telemetry::StatsBoardSnapshot &snap = boards[0].snapshot;
+    snap.n_counters = 1;
+    std::strcpy(snap.counters[0].name, "verifier.shard0.messages");
+    snap.counters[0].value = 3;
+    snap.n_histograms = 1;
+    telemetry::BoardHistogram &lag = snap.histograms[0];
+    std::strcpy(lag.name, "verifier.lag_ns.pid_42");
+    lag.count = 2;
+    lag.mean = 100;
+    lag.p50 = 90;
+    lag.p90 = 110;
+    lag.p99 = 110;
+    const std::string text = telemetry::prometheusText(boards);
+
+    std::istringstream in(text);
+    std::size_t labeled = 0;
+    for (std::string line; std::getline(in, line);) {
+        const std::size_t open = line.find('{');
+        if (line.empty() || line[0] == '#' || open == std::string::npos)
+            continue;
+        ++labeled;
+        std::set<std::string> names;
+        // Each label is `name="value"`; values here hold no quotes.
+        for (std::size_t at = open + 1; line[at] != '}';) {
+            const std::size_t eq = line.find("=\"", at);
+            ASSERT_NE(eq, std::string::npos) << line;
+            EXPECT_TRUE(names.insert(line.substr(at, eq - at)).second)
+                << "repeated label name in: " << line;
+            const std::size_t close = line.find('"', eq + 2);
+            ASSERT_NE(close, std::string::npos) << line;
+            at = close + 1;
+            if (line[at] == ',')
+                ++at;
+        }
+    }
+    // The counter, three quantiles, _sum and _count.
+    EXPECT_EQ(labeled, 6u) << text;
+    EXPECT_NE(text.find("hq_verifier_lag_ns_count{pid=\"42\","
+                        "board_pid=\"7\"} 2"),
+              std::string::npos)
+        << text;
 }
 
 // ---------------------------------------------------------------------

@@ -17,9 +17,9 @@
  *   hq_stat --watch[=MS]     top-style live view (default 1000 ms)
  *   hq_stat --prom[=FILE]    fleet mode: aggregate every live board
  *                            into one Prometheus text-exposition
- *                            snapshot (pid label per process), written
- *                            to FILE (node-exporter textfile collector)
- *                            or stdout
+ *                            snapshot (board_pid label per process),
+ *                            written to FILE (node-exporter textfile
+ *                            collector) or stdout
  *   hq_stat --prune          unlink orphaned segments whose publishing
  *                            process is dead, then exit
  */
@@ -34,17 +34,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "telemetry/statsboard.h"
-#include "telemetry/telemetry.h"
 
 using hq::telemetry::BoardCounter;
 using hq::telemetry::BoardGauge;
 using hq::telemetry::BoardHistogram;
+using hq::telemetry::prometheusText;
+using hq::telemetry::PublishedSnapshot;
 using hq::telemetry::StatsBoardReader;
 using hq::telemetry::StatsBoardSnapshot;
 
@@ -290,119 +290,6 @@ printWatch(const StatsBoardSnapshot &snap, const StatsBoardSnapshot &prev,
 
 // --- Fleet Prometheus aggregation ------------------------------------
 
-/** Text-exposition builder: one `# TYPE` line per family, every
- *  sample grouped under it (the format requires family grouping). */
-struct PromDoc
-{
-    // family -> (type, sample lines); std::map keeps families sorted.
-    // A sample's name may extend its family (summary `_sum`/`_count`
-    // ride under the base family's single `# TYPE` line).
-    std::map<std::string, std::pair<const char *, std::vector<std::string>>>
-        families;
-
-    void
-    add(const std::string &family, const char *type,
-        const std::string &name, const std::string &labels,
-        const std::string &value)
-    {
-        auto &entry = families[family];
-        entry.first = type;
-        std::string line = name;
-        if (!labels.empty())
-            line += "{" + labels + "}";
-        line += " " + value;
-        entry.second.push_back(std::move(line));
-    }
-
-    std::string
-    str() const
-    {
-        std::string out;
-        for (const auto &[family, entry] : families) {
-            out += "# TYPE " + family + " " +
-                   std::string(entry.first) + "\n";
-            for (const std::string &line : entry.second)
-                out += line + "\n";
-        }
-        return out;
-    }
-};
-
-std::string
-promU64(std::uint64_t value)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, value);
-    return buf;
-}
-
-std::string
-promF64(double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.10g", value);
-    return buf;
-}
-
-std::string
-joinLabels(const std::string &base, const std::string &extra)
-{
-    if (base.empty())
-        return extra;
-    if (extra.empty())
-        return base;
-    return base + "," + extra;
-}
-
-/** Fold one board's snapshot into the fleet document, labeling every
- *  series with the publishing pid so per-process streams stay
- *  distinguishable after aggregation. */
-void
-promAddBoard(PromDoc &doc, const StatsBoardSnapshot &snap,
-             std::int32_t pid)
-{
-    const std::string pid_label = "pid=\"" + std::to_string(pid) + "\"";
-    for (std::uint32_t i = 0; i < snap.n_counters; ++i) {
-        const auto series =
-            hq::telemetry::prometheusSeries(snap.counters[i].name);
-        const std::string family = series.name + "_total";
-        doc.add(family, "counter", family,
-                joinLabels(series.labels, pid_label),
-                promU64(snap.counters[i].value));
-    }
-    for (std::uint32_t i = 0; i < snap.n_gauges; ++i) {
-        const auto series =
-            hq::telemetry::prometheusSeries(snap.gauges[i].name);
-        const std::string labels =
-            joinLabels(series.labels, pid_label);
-        doc.add(series.name, "gauge", series.name, labels,
-                promU64(snap.gauges[i].value));
-        doc.add(series.name + "_max", "gauge", series.name + "_max",
-                labels, promU64(snap.gauges[i].max));
-    }
-    for (std::uint32_t i = 0; i < snap.n_histograms; ++i) {
-        const BoardHistogram &h = snap.histograms[i];
-        const auto series = hq::telemetry::prometheusSeries(h.name);
-        const std::string labels =
-            joinLabels(series.labels, pid_label);
-        if (h.count != 0) {
-            doc.add(series.name, "summary", series.name,
-                    joinLabels(labels, "quantile=\"0.5\""),
-                    promF64(h.p50));
-            doc.add(series.name, "summary", series.name,
-                    joinLabels(labels, "quantile=\"0.9\""),
-                    promF64(h.p90));
-            doc.add(series.name, "summary", series.name,
-                    joinLabels(labels, "quantile=\"0.99\""),
-                    promF64(h.p99));
-        }
-        doc.add(series.name, "summary", series.name + "_sum", labels,
-                promF64(h.mean * static_cast<double>(h.count)));
-        doc.add(series.name, "summary", series.name + "_count", labels,
-                promU64(h.count));
-    }
-}
-
 /**
  * Fleet mode: one aggregated snapshot across every live board (or just
  * `board` when given). Written atomically enough for the textfile
@@ -423,26 +310,23 @@ promExport(const std::string &board, const std::string &file)
         return 1;
     }
 
-    PromDoc doc;
-    int attached = 0;
+    std::vector<PublishedSnapshot> snapshots;
     for (const std::string &name : boards) {
         StatsBoardReader reader(name);
-        StatsBoardSnapshot snap;
-        if (!reader.valid() || !reader.read(snap)) {
+        PublishedSnapshot &board = snapshots.emplace_back();
+        if (!reader.valid() || !reader.read(board.snapshot)) {
             std::fprintf(stderr, "hq_stat: skipping %s (no snapshot)\n",
                          name.c_str());
+            snapshots.pop_back();
             continue;
         }
-        promAddBoard(doc, snap, reader.pid());
-        ++attached;
+        board.pid = reader.pid();
     }
-    if (attached == 0) {
+    if (snapshots.empty()) {
         std::fprintf(stderr, "hq_stat: no board yielded a snapshot\n");
         return 1;
     }
-    doc.add("hq_statsboards", "gauge", "hq_statsboards", "",
-            promU64(static_cast<std::uint64_t>(attached)));
-    const std::string text = doc.str();
+    const std::string text = prometheusText(snapshots);
 
     if (file.empty()) {
         std::fwrite(text.data(), 1, text.size(), stdout);
